@@ -422,6 +422,16 @@ def run_command(command: str, scn: Scenario, out_dir: Path, args) -> int:
     return _HANDLERS[command](scn, out_dir, args)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="resbound", description="Resource-bounded deduction engine"
@@ -430,14 +440,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
-    parser.add_argument("--max-steps", type=int, default=None, help="proof step bound override")
-    parser.add_argument("--max-len", type=int, default=None, help="statement size bound override")
+    parser.add_argument(
+        "--max-steps", type=_positive_int, default=None, help="proof step bound override"
+    )
+    parser.add_argument(
+        "--max-len", type=_positive_int, default=None, help="statement size bound override"
+    )
     args = parser.parse_args(argv)
 
     try:
         scn = load(args.scenario)
     except FileNotFoundError:
         print(f"error file-not-found: {args.scenario}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error file-unreadable: {args.scenario}: {exc.strerror}", file=sys.stderr)
         return 2
     except ScenarioError as exc:
         for problem in exc.problems:

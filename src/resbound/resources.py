@@ -52,10 +52,6 @@ class ResourceVector:
         return cls(tuple(values))
 
     @classmethod
-    def from_values(cls, values: Iterable[RationalLike]) -> "ResourceVector":
-        return cls(tuple(values))
-
-    @classmethod
     def zeros(cls, n_components: int) -> "ResourceVector":
         return cls((Fraction(0),) * n_components)
 
@@ -105,12 +101,6 @@ class ResourceVector:
     def meet(self, other: "ResourceVector") -> "ResourceVector":
         self._check_dim(other)
         return ResourceVector(tuple(min(a, b) for a, b in zip(self.components, other.components)))
-
-    def scale(self, factor: RationalLike) -> "ResourceVector":
-        f = _as_fraction(factor)
-        if f < 0:
-            raise ValueError("negative scale factor")
-        return ResourceVector(tuple(c * f for c in self.components))
 
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.components]

@@ -130,6 +130,21 @@ class _Problems:
         return bool(self.items)
 
 
+def _entries(raw: Any, path: str, problems: _Problems):
+    """(path, entry) for each object in an array section; anything else is
+    reported and skipped."""
+    if raw is None:
+        return
+    if not isinstance(raw, list):
+        problems.add(path, "expected an array")
+        return
+    for i, entry in enumerate(raw):
+        if isinstance(entry, dict):
+            yield f"{path}[{i}]", entry
+        else:
+            problems.add(f"{path}[{i}]", "expected an object")
+
+
 def _parse_vector(raw: Any, n: int, path: str, problems: _Problems) -> Optional[ResourceVector]:
     if not isinstance(raw, list):
         problems.add(path, "expected an array of rational strings")
@@ -229,6 +244,9 @@ def loads(text: str) -> Scenario:
         raise ScenarioError(problems.items)
 
     cm_raw = doc.get("cost_model", {})
+    if not isinstance(cm_raw, dict):
+        problems.add("cost_model", "expected an object")
+        cm_raw = {}
     zeros = ["0"] * n
     delta = _parse_vector(cm_raw.get("delta", ["1"] * n), n, "cost_model.delta", problems)
     base = _parse_vector(cm_raw.get("overhead_base", zeros), n, "cost_model.overhead_base", problems)
@@ -268,8 +286,7 @@ def loads(text: str) -> Scenario:
     atoms = set(ground_truth)
 
     equipment: dict[str, Equipment] = {}
-    for i, eq_raw in enumerate(w_raw.get("equipment", []) or []):
-        path = f"world.equipment[{i}]"
+    for path, eq_raw in _entries(w_raw.get("equipment"), "world.equipment", problems):
         eq_id = eq_raw.get("id")
         if not isinstance(eq_id, str) or not eq_id:
             problems.add(path, "missing id")
@@ -288,8 +305,7 @@ def loads(text: str) -> Scenario:
 
     procedures: dict[str, Procedure] = {}
     true_purposes: dict[str, Purpose] = {}
-    for i, p_raw in enumerate(w_raw.get("procedures", []) or []):
-        path = f"world.procedures[{i}]"
+    for path, p_raw in _entries(w_raw.get("procedures"), "world.procedures", problems):
         p_id = p_raw.get("id")
         if not isinstance(p_id, str) or not p_id:
             problems.add(path, "missing id")
@@ -356,8 +372,7 @@ def loads(text: str) -> Scenario:
         )
         true_purposes[p_id] = DetermineTruth(atom)
 
-    for i, claim_raw in enumerate(w_raw.get("string_claims", []) or []):
-        path = f"world.string_claims[{i}]"
+    for path, claim_raw in _entries(w_raw.get("string_claims"), "world.string_claims", problems):
         atom = claim_raw.get("atom")
         if not isinstance(atom, str) or not _ATOM_RE.match(atom):
             problems.add(path, f"bad claim atom name {atom!r}")
@@ -436,8 +451,7 @@ def loads(text: str) -> Scenario:
         domain_budget = _parse_vector(doc["domain_budget"], n, "domain_budget", problems)
 
     candidates: list[AxiomCandidate] = []
-    for i, ax_raw in enumerate(doc.get("axioms", []) or []):
-        path = f"axioms[{i}]"
+    for path, ax_raw in _entries(doc.get("axioms"), "axioms", problems):
         stmt = _parse_statement(ax_raw.get("statement"), alphabet, atoms, path, problems)
         just = ax_raw.get("justification", "verified")
         if just not in (Justification.VERIFIED_IN_WORLD, Justification.POSTULATED):
@@ -465,8 +479,7 @@ def loads(text: str) -> Scenario:
 
     observers = []
     seen_names = set()
-    for i, ob_raw in enumerate(doc.get("observers", []) or []):
-        path = f"observers[{i}]"
+    for i, (path, ob_raw) in enumerate(_entries(doc.get("observers"), "observers", problems)):
         name = ob_raw.get("name", f"observer{i}")
         if name in seen_names:
             problems.add(path, f"duplicate observer name {name!r}")
@@ -476,12 +489,13 @@ def loads(text: str) -> Scenario:
         if ob_raw.get("cap") is not None:
             cap = _parse_vector(ob_raw["cap"], n, f"{path}.cap", problems)
         actions: list[Action] = []
-        for j, act_raw in enumerate(ob_raw.get("actions", []) or []):
-            a_path = f"{path}.actions[{j}]"
+        for a_path, act_raw in _entries(ob_raw.get("actions"), f"{path}.actions", problems):
             if "verify" in act_raw:
                 stmt = _parse_statement(act_raw["verify"], alphabet, atoms, a_path, problems)
                 hint = None
-                if "strategy" in act_raw:
+                if "strategy" in act_raw and not isinstance(act_raw["strategy"], dict):
+                    problems.add(f"{a_path}.strategy", "expected an object")
+                elif "strategy" in act_raw:
                     pairs = []
                     for atom_id, proc_id in sorted(act_raw["strategy"].items()):
                         if proc_id not in procedures:
@@ -506,8 +520,10 @@ def loads(text: str) -> Scenario:
         observers.append(ObserverScript(str(name), tuple(actions), cap))
 
     reflection = None
-    if doc.get("reflection"):
-        r_raw = doc["reflection"]
+    r_raw = doc.get("reflection")
+    if r_raw and not isinstance(r_raw, dict):
+        problems.add("reflection", "expected an object")
+    elif r_raw:
         target = _parse_statement(r_raw.get("target"), alphabet, atoms, "reflection.target", problems)
         stages = r_raw.get("stages", 1)
         if not isinstance(stages, int) or stages < 1:

@@ -274,12 +274,6 @@ class CostResult:
     frontier: tuple[ResourceVector, ...]
     witnesses: tuple[tuple[ResourceVector, tuple[VerificationStrategy, ...]], ...]
 
-    def witness_for(self, point: ResourceVector) -> tuple[VerificationStrategy, ...]:
-        for p, ws in self.witnesses:
-            if p == point:
-                return ws
-        raise KeyError(point)
-
 
 def strategy_cost(s: Statement, strategy: VerificationStrategy, world: World) -> ResourceVector:
     """Implementations for each distinct atom plus one-time construction of

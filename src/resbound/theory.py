@@ -15,6 +15,16 @@ steps).  Schema metavariables range over the subformula closure of the
 admitted axioms and the goal, plus the negations of those subformulas,
 capped at N(r).  The search is exhaustive within the configured step bound;
 a missing proof means no proof exists within those bounds and the budget.
+
+A search reads only the admitted axiom statements (in order), the goal, the
+step bound and an effective cap: N(r), or unbounded once N(r) reaches the
+longest instance any schema can form over the uncapped closure, where the
+cap prunes nothing.  Theories that agree on these inputs share one search
+(its entailment verdict and the goal's root derivation), so the grid points
+of a lattice whose theories admit the same axioms search once.  The budget
+enters only afterwards: linearization picks the cheapest step ordering
+within r, and the proof checker re-prices every step under the theory's own
+cost parameters and alphabet.
 """
 
 from __future__ import annotations
@@ -402,15 +412,16 @@ def _intern(s: Statement) -> Statement:
     return got
 
 
-def _instantiation_pool(theory: Theory, goal: Statement, cap: Optional[int]) -> list[Statement]:
-    seeds: set[Statement] = {goal}
-    for ax in theory.axioms.admitted:
-        seeds.add(ax.statement)
+def _closure(axioms: tuple[Statement, ...], goal: Statement) -> set[Statement]:
+    """Subformulas of the axioms and the goal, plus their negations."""
     subs: set[Statement] = set()
-    for s in seeds:
+    for s in (goal, *axioms):
         subs |= subformulas(s)
-    closed = subs | {Not(s) for s in subs}
-    pool = [_intern(s) for s in closed if cap is None or len(_crender(s)) <= cap]
+    return subs | {Not(s) for s in subs}
+
+
+def _instantiation_pool(closure: set[Statement], cap: Optional[int]) -> list[Statement]:
+    pool = [_intern(s) for s in closure if cap is None or _clen(s) <= cap]
     return sorted(pool, key=lambda s: (len(_crender(s)), _crender(s)))
 
 
@@ -438,21 +449,17 @@ _SCHEMA_SHAPES = [_schema_shape(schema.template) for schema in SCHEMAS]
 _instance_cache: dict[tuple[int, tuple[Statement, ...]], Statement] = {}
 
 
-def _base_derivations(theory: Theory, pool: list[Statement], cap: Optional[int]) -> list[_Derivation]:
+def _base_derivations(
+    axioms: tuple[Statement, ...], pool: list[Statement], cap: Optional[int]
+) -> list[_Derivation]:
     out: list[_Derivation] = []
     seen: set[Statement] = set()
-    for idx, ax in enumerate(theory.axioms.admitted):
-        if ax.statement in seen:
+    for idx, ax in enumerate(axioms):
+        if ax in seen:
             continue
-        seen.add(ax.statement)
+        seen.add(ax)
         out.append(
-            _Derivation(
-                ax.statement,
-                "axiom",
-                (1, _clen(ax.statement)),
-                axiom_index=idx,
-                nodes=frozenset({ax.statement}),
-            )
+            _Derivation(ax, "axiom", (1, _clen(ax)), axiom_index=idx, nodes=frozenset({ax}))
         )
     pool_lens = [_clen(p) for p in pool]
     longest = max(pool_lens, default=0)
@@ -522,6 +529,8 @@ def _saturate(base: list[_Derivation], max_steps: int) -> dict[Statement, _Deriv
         queue.append(right)
 
     for d in base:
+        if d.key[0] > max_steps:
+            continue
         cur = best.get(d.statement)
         if cur is None or d.key < cur.key or (d.key == cur.key and _tie(d) < _tie(cur)):
             best[d.statement] = d
@@ -622,7 +631,7 @@ def _linearize(theory: Theory, root: _Derivation) -> Optional[Proof]:
     return proof
 
 
-def _entailed(axiom_statements: list[Statement], goal: Statement) -> bool:
+def _entailed(axiom_statements: tuple[Statement, ...], goal: Statement) -> bool:
     """Classical entailment over the mentioned atoms.  The schemas are all
     tautologies and modus ponens preserves truth, so anything not entailed is
     unprovable; this prunes hopeless searches exactly."""
@@ -636,6 +645,22 @@ def _entailed(axiom_statements: list[Statement], goal: Statement) -> bool:
     return True
 
 
+def _effective_cap(closure: set[Statement], cap: Optional[int]) -> Optional[int]:
+    """N(r), or None when N(r) is at least the longest instance any schema can
+    form over the unfiltered pool: then the cap prunes nothing."""
+    if cap is None:
+        return None
+    longest = max(_clen(s) for s in closure)
+    widest = max(const + longest * sum(coeffs.values()) for const, coeffs in _SCHEMA_SHAPES)
+    return None if cap >= widest else cap
+
+
+# searches shared by every theory with the same admitted axioms: the key is
+# (axiom statements, goal, step bound, effective cap), the value the goal's
+# root derivation or None
+_search_memo: dict[tuple, Optional[_Derivation]] = {}
+
+
 def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> Optional[Proof]:
     """A cheapest found proof of ``goal`` within the budget, or None."""
     cap = theory.length_cap()
@@ -645,13 +670,19 @@ def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> O
     key = (render(goal), steps)
     if key in theory._prove_cache:
         return theory._prove_cache[key]
-    proof = None
-    if _entailed([a.statement for a in theory.axioms.admitted], goal):
-        pool = _instantiation_pool(theory, goal, cap)
-        base = _base_derivations(theory, pool, cap)
-        best = _saturate(base, steps)
-        root = best.get(goal)
-        proof = _linearize(theory, root) if root is not None else None
+    axioms = tuple(a.statement for a in theory.axioms.admitted)
+    closure = _closure(axioms, goal)
+    search_cap = _effective_cap(closure, cap)
+    search_key = (axioms, goal, steps, search_cap)
+    if search_key in _search_memo:
+        root = _search_memo[search_key]
+    else:
+        root = None
+        if _entailed(axioms, goal):
+            pool = _instantiation_pool(closure, search_cap)
+            root = _saturate(_base_derivations(axioms, pool, search_cap), steps).get(goal)
+        _search_memo[search_key] = root
+    proof = _linearize(theory, root) if root is not None else None
     theory._prove_cache[key] = proof
     return proof
 

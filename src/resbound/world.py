@@ -260,9 +260,6 @@ class SpendLedger:
         self.commit(cost, fresh, label)
         return cost
 
-    def snapshot(self) -> tuple[ResourceVector, frozenset[str]]:
-        return self.spent, frozenset(self.built)
-
 
 def procedure_cost(proc: Procedure, ledger: SpendLedger) -> ResourceVector:
     """Implementation cost plus construction of not-yet-built equipment; the

@@ -169,3 +169,16 @@ def test_identical_outputs_across_commands(tmp_path):
         assert first == second
         for name in first:
             assert (paths[0] / name).read_bytes() == (paths[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--max-steps", "--max-len"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bounds_below_one_exit_2(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "--scenario", str(FIXTURES / "minimal.scn"), "--command", "lattice",
+            "--out", str(tmp_path), flag, value,
+        )
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from resbound.cli import main
 from resbound.errors import ScenarioError
 from resbound.scenario import load, loads
 
@@ -144,3 +145,46 @@ def test_vector_dimension_checked():
     with pytest.raises(ScenarioError) as err:
         loads(json.dumps(doc))
     assert any("grid[0]" in p and "2 components" in p for p in err.value.problems)
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+
+    return mutate
+
+
+_VERIFY_X = {"name": "o", "actions": [{"verify": "X", "strategy": "pX"}]}
+
+
+@pytest.mark.parametrize(
+    "mutate, expected",
+    [
+        (_set(("world", "equipment", 0), "e1"), "world.equipment[0]: expected an object"),
+        (_set(("world", "procedures", 0), ["pX"]), "world.procedures[0]: expected an object"),
+        (_set(("world", "string_claims"), [7]), "world.string_claims[0]: expected an object"),
+        (_set(("axioms", 0), "X"), "axioms[0]: expected an object"),
+        (_set(("axioms",), "X"), "axioms: expected an array"),
+        (_set(("observers",), ["o"]), "observers[0]: expected an object"),
+        (_set(("observers",), [{"name": "o", "actions": ["X"]}]), "observers[0].actions[0]: expected an object"),
+        (_set(("observers",), [_VERIFY_X]), "observers[0].actions[0].strategy: expected an object"),
+        (_set(("cost_model",), ["1", "1"]), "cost_model: expected an object"),
+        (_set(("reflection",), "X"), "reflection: expected an object"),
+        (None, "error file-unreadable:"),
+    ],
+)
+def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, mutate, expected):
+    if mutate is None:
+        scenario = tmp_path  # a directory, not a scenario file
+    else:
+        doc = base_doc()
+        mutate(doc)
+        scenario = tmp_path / "bad.scn"
+        scenario.write_text(json.dumps(doc))
+    code = main(["--scenario", str(scenario), "--command", "cost", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert expected in capsys.readouterr().err

@@ -321,3 +321,95 @@ def test_soundness_random_truths_verified_only(truths):
     theory = build_theory(AMPLE, candidates, world, cost)
     report = soundness_check(theory, 5)
     assert report.ok
+
+
+def test_step_bound_applies_to_one_step_proofs(std_world, std_cost):
+    theory = theory_with(std_world, std_cost, ["A", "(A->B)"])
+    assert is_theorem(theory, Atom("A"), 1)
+    assert not is_theorem(theory, Atom("A"), 0)
+
+
+# --- searches shared across theories -------------------------------------------------
+
+@pytest.fixture
+def fresh_searches(monkeypatch):
+    """An empty search memo, and a count of the searches run against it."""
+    import resbound.theory as theory_mod
+
+    monkeypatch.setattr(theory_mod, "_search_memo", {})
+    calls = []
+    saturate = theory_mod._saturate
+
+    def counted(base, max_steps):
+        calls.append(max_steps)
+        return saturate(base, max_steps)
+
+    monkeypatch.setattr(theory_mod, "_saturate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rich_first", [False, True])
+def test_budget_is_not_in_the_search_key(std_world, rich_first, fresh_searches):
+    from resbound import CostParameters
+
+    # every expression pays a base of 100 once: N(200) = 100 and N(400) = 300
+    # prune nothing, while the three-step proof of B costs 316 in every
+    # component, so only the richer theory can pay for it
+    cost = CostParameters.uniform(4, delta=1, delta_e=0, base=100)
+    poor = theory_with(std_world, cost, ["A", "(A->B)"], budget=vec(200, 200, 200, 200))
+    rich = theory_with(std_world, cost, ["A", "(A->B)"], budget=vec(400, 400, 400, 400))
+    assert poor.axioms.admitted == rich.axioms.admitted
+    order = [rich, poor] if rich_first else [poor, rich]
+    proofs = {id(t): prove(t, Atom("B")) for t in order}
+    assert proofs[id(poor)] is None
+    assert proofs[id(rich)] is not None
+    assert proofs[id(rich)].cost == vec(316, 316, 316, 316)
+    assert len(fresh_searches) == 1
+
+
+def test_binding_cap_is_in_the_search_key(std_world, std_cost, fresh_searches):
+    # N([8,8,8,8]) = 7 admits (A&B) but not the instance ((A&B)->A) that the
+    # proof of A needs; the ample theory admits the same axiom and has a proof
+    ample = theory_with(std_world, std_cost, ["(A&B)"])
+    capped = theory_with(std_world, std_cost, ["(A&B)"], budget=vec(8, 8, 8, 8))
+    assert capped.length_cap() == 7
+    assert ample.axioms.admitted == capped.axioms.admitted
+    assert prove(ample, Atom("A")) is not None
+    assert prove(capped, Atom("A")) is None
+    assert len(fresh_searches) == 2
+
+
+def _answers(theory, goals):
+    return [(render(s), is_theorem(theory, s)) for s in goals]
+
+
+def test_standard_t0_after_t8_answers_as_alone(monkeypatch):
+    import resbound.theory as theory_mod
+    from resbound.scenario import load
+    from resbound.statements import enumerate_statements
+
+    def grid_ends():
+        grid = load("fixtures/standard.scn").theory_grid()
+        return grid.theory_at(grid.points[0]), grid.theory_at(grid.points[-1])
+
+    monkeypatch.setattr(theory_mod, "_search_memo", {})
+    t0, _ = grid_ends()
+    assert t0.length_cap() == 3
+    goals = list(enumerate_statements(t0.world.atoms(), 3))
+    alone = _answers(t0, goals)
+
+    monkeypatch.setattr(theory_mod, "_search_memo", {})
+    t0, t8 = grid_ends()
+    _answers(t8, goals)
+    assert _answers(t0, goals) == alone
+    assert ("A", True) in alone
+
+
+def test_lattice_on_standard_runs_74_searches(tmp_path, fresh_searches):
+    from resbound.cli import main
+
+    code = main(
+        ["--scenario", "fixtures/standard.scn", "--command", "lattice", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert len(fresh_searches) == 74
