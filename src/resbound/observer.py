@@ -15,17 +15,7 @@ from typing import Optional, Union
 
 from .errors import EmptyKnowledge, InsufficientResources
 from .resources import ResourceVector, pareto_min, sorted_vectors
-from .statements import (
-    And,
-    Not,
-    Statement,
-    VerificationStrategy,
-    VerifyOutcome,
-    evaluate,
-    render,
-    strategy_cost,
-    verify,
-)
+from .statements import And, Not, Statement, VerifyOutcome, render, verify
 from .world import Location, MeasureSpaceTime, SpendLedger, World, implement
 
 
@@ -71,7 +61,6 @@ class ObserverState:
     ledger: SpendLedger
     t: int = 0
     knowledge: list[KnowledgeEntry] = field(default_factory=list)
-    deltas: list[ResourceVector] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, world: World, budget_cap: Optional[ResourceVector] = None) -> "ObserverState":
@@ -102,36 +91,15 @@ def _default_spacetime(world: World) -> str:
     return declared[0]
 
 
-def _verify_with_hint(
-    state: ObserverState, action: VerifyStatement
-) -> VerifyOutcome:
-    if action.strategy_hint is None:
-        remaining = state.ledger.remaining()
-        return verify(action.statement, remaining, state.world, state.ledger)
-    strategy = VerificationStrategy(
-        tuple(sorted(action.strategy_hint)), frozenset(state.ledger.built)
-    )
-    cost = strategy_cost(action.statement, strategy, state.world)
-    if not state.ledger.can_spend(cost):
-        return VerifyOutcome.INSUFFICIENT
-    loc = state.world.default_location()
-    valuation = {}
-    fresh: set[str] = set()
-    for atom_id, proc_id in strategy.assignments:
-        proc = state.world.procedure(proc_id)
-        valuation[atom_id] = proc.output_fn(state.world, loc) == "1"
-        fresh |= set(proc.equipment_used) - state.ledger.built
-    state.ledger.commit(cost, fresh, f"verify:{render(action.statement)}")
-    truth = evaluate(action.statement, valuation)
-    return VerifyOutcome.TRUE if truth else VerifyOutcome.FALSE
-
-
 def step(state: ObserverState, action: Action, world: World) -> StepRecord:
     """Execute one action, debiting the shared ledger; a refused action
     leaves every component of the path exactly where it was."""
     before = state.ledger.spent
     if isinstance(action, VerifyStatement):
-        outcome = _verify_with_hint(state, action)
+        hint = None if action.strategy_hint is None else dict(action.strategy_hint)
+        outcome = verify(
+            action.statement, state.ledger.remaining(), state.world, state.ledger, hint
+        )
         if outcome is VerifyOutcome.INSUFFICIENT:
             text = "refused"
         else:
@@ -150,7 +118,6 @@ def step(state: ObserverState, action: Action, world: World) -> StepRecord:
         except InsufficientResources:
             text = "refused"
     delta = state.ledger.spent.sub_saturating(before)
-    state.deltas.append(delta)
     state.t += 1
     return StepRecord(state.t, action.describe(), delta, state.ledger.spent, text)
 
@@ -161,8 +128,8 @@ def knowledge_statement(state: ObserverState) -> Statement:
         raise EmptyKnowledge("observer has verified nothing yet")
     total = state.spent
     acc = ResourceVector.zeros(len(total.components))
-    for d in state.deltas:
-        acc = acc.add(d)
+    for _, cost in state.ledger.log:
+        acc = acc.add(cost)
     if acc != total:
         raise AssertionError("path accounting drifted: sum of increments != p(t)")
     parts = [

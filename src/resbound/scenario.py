@@ -130,15 +130,32 @@ class _Problems:
         return bool(self.items)
 
 
+def _array(raw: Any, path: str, problems: _Problems) -> list:
+    """An array section's items; an absent section is empty, and anything
+    else is reported and read as empty."""
+    if raw is None:
+        return []
+    if not isinstance(raw, list):
+        problems.add(path, "expected an array")
+        return []
+    return raw
+
+
+def _object(raw: Any, path: str, problems: _Problems) -> dict:
+    """An object section; an absent section is empty, and anything else is
+    reported and read as empty."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        problems.add(path, "expected an object")
+        return {}
+    return raw
+
+
 def _entries(raw: Any, path: str, problems: _Problems):
     """(path, entry) for each object in an array section; anything else is
     reported and skipped."""
-    if raw is None:
-        return
-    if not isinstance(raw, list):
-        problems.add(path, "expected an array")
-        return
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_array(raw, path, problems)):
         if isinstance(entry, dict):
             yield f"{path}[{i}]", entry
         else:
@@ -183,7 +200,7 @@ def _parse_purpose(raw: Any, path: str, problems: _Problems) -> Purpose:
             return NoPurpose()
         if kind == "opaque":
             return Opaque(str(raw.get("text", "")))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         problems.add(path, f"bad purpose fields: {exc}")
         return NoPurpose()
     problems.add(path, f"unknown purpose kind {kind!r}")
@@ -243,10 +260,7 @@ def loads(text: str) -> Scenario:
     if alphabet is None:
         raise ScenarioError(problems.items)
 
-    cm_raw = doc.get("cost_model", {})
-    if not isinstance(cm_raw, dict):
-        problems.add("cost_model", "expected an object")
-        cm_raw = {}
+    cm_raw = _object(doc.get("cost_model"), "cost_model", problems)
     zeros = ["0"] * n
     delta = _parse_vector(cm_raw.get("delta", ["1"] * n), n, "cost_model.delta", problems)
     base = _parse_vector(cm_raw.get("overhead_base", zeros), n, "cost_model.overhead_base", problems)
@@ -266,23 +280,16 @@ def loads(text: str) -> Scenario:
         cost_model = CostParameters(delta, delta_e, base, slope)
 
     # --- world ---
-    w_raw = doc.get("world", {})
-    if not isinstance(w_raw, dict):
-        problems.add("world", "expected an object")
-        w_raw = {}
-    gt_raw = w_raw.get("ground_truth", {})
+    w_raw = _object(doc.get("world"), "world", problems)
     ground_truth: dict[str, bool] = {}
-    if not isinstance(gt_raw, dict):
-        problems.add("world.ground_truth", "expected an object")
-    else:
-        for name, value in gt_raw.items():
-            if not _ATOM_RE.match(name):
-                problems.add("world.ground_truth", f"bad atom name {name!r}")
-                continue
-            if not isinstance(value, bool):
-                problems.add(f"world.ground_truth.{name}", "truth value must be boolean")
-                continue
-            ground_truth[name] = value
+    for name, value in _object(w_raw.get("ground_truth"), "world.ground_truth", problems).items():
+        if not _ATOM_RE.match(name):
+            problems.add("world.ground_truth", f"bad atom name {name!r}")
+            continue
+        if not isinstance(value, bool):
+            problems.add(f"world.ground_truth.{name}", "truth value must be boolean")
+            continue
+        ground_truth[name] = value
     atoms = set(ground_truth)
 
     equipment: dict[str, Equipment] = {}
@@ -313,9 +320,11 @@ def loads(text: str) -> Scenario:
         if p_id in procedures or p_id in equipment:
             problems.add(path, f"duplicate id {p_id!r}")
             continue
-        eq_used = p_raw.get("equipment", []) or []
-        for eq_id in eq_used:
-            if eq_id not in equipment:
+        eq_used = []
+        for eq_id in _array(p_raw.get("equipment"), f"{path}.equipment", problems):
+            if isinstance(eq_id, str) and eq_id in equipment:
+                eq_used.append(eq_id)
+            else:
                 problems.add(f"{path}.equipment", f"unknown equipment id {eq_id!r}")
         impl = _parse_vector(
             p_raw.get("implementation_cost", zeros), n, f"{path}.implementation_cost", problems
@@ -330,32 +339,32 @@ def loads(text: str) -> Scenario:
             problems.add(f"{path}.instructions", str(exc))
             instructions = Expression("", alphabet)
         out_raw = p_raw.get("output", {})
-        if "constant" in out_raw:
-            text_out = str(out_raw["constant"])
-            bad = [ch for ch in text_out if ch not in alphabet]
-            if bad:
-                problems.add(f"{path}.output", f"characters {bad!r} not in alphabet")
-            output_fn = constant_output(text_out)
+        output_fn = constant_output("")
+        texts_out: list[str] = []
+        if not isinstance(out_raw, dict):
+            problems.add(f"{path}.output", "expected an object")
+        elif "constant" in out_raw:
+            texts_out = [str(out_raw["constant"])]
+            output_fn = constant_output(texts_out[0])
         elif "atom" in out_raw:
             atom_ref = str(out_raw["atom"])
             if atom_ref not in atoms:
                 problems.add(f"{path}.output", f"unknown atom {atom_ref!r}")
-            output_fn = truth_output(
-                atom_ref,
-                str(out_raw.get("when_true", "1")),
-                str(out_raw.get("when_false", "0")),
-            )
+            texts_out = [str(out_raw.get("when_true", "1")), str(out_raw.get("when_false", "0"))]
+            output_fn = truth_output(atom_ref, *texts_out)
         else:
             problems.add(f"{path}.output", "output needs 'constant' or 'atom'")
-            output_fn = constant_output("")
+        bad = [ch for text_out in texts_out for ch in text_out if ch not in alphabet]
+        if bad:
+            problems.add(f"{path}.output", f"characters {bad!r} not in alphabet")
         if impl is not None:
             procedures[p_id] = Procedure(
                 p_id, frozenset(eq_used), instructions, impl, declared, output_fn
             )
 
-    for i, atom in enumerate(w_raw.get("direct_atoms", []) or []):
+    for i, atom in enumerate(_array(w_raw.get("direct_atoms"), "world.direct_atoms", problems)):
         path = f"world.direct_atoms[{i}]"
-        if atom not in atoms:
+        if not isinstance(atom, str) or atom not in atoms:
             problems.add(path, f"unknown atom {atom!r}")
             continue
         p_id = f"direct_{atom}"
@@ -408,7 +417,7 @@ def loads(text: str) -> Scenario:
         )
         true_purposes[p_id] = DetermineTruth(atom)
 
-    tp_raw = w_raw.get("true_purposes", {}) or {}
+    tp_raw = _object(w_raw.get("true_purposes"), "world.true_purposes", problems)
     for subject, purpose_raw in tp_raw.items():
         path = f"world.true_purposes.{subject}"
         if subject not in procedures and subject not in equipment:
@@ -421,14 +430,14 @@ def loads(text: str) -> Scenario:
         true_purposes[subject] = purpose
 
     verifier_edges = []
-    for i, pair in enumerate(w_raw.get("verifier_of", []) or []):
+    for i, pair in enumerate(_array(w_raw.get("verifier_of"), "world.verifier_of", problems)):
         path = f"world.verifier_of[{i}]"
         if not (isinstance(pair, list) and len(pair) == 2):
             problems.add(path, "expected [verifier, verified] pair")
             continue
         a, b = pair
         for side in (a, b):
-            if side not in procedures and side not in equipment:
+            if not isinstance(side, str) or (side not in procedures and side not in equipment):
                 problems.add(path, f"unknown id {side!r}")
         verifier_edges.append((str(a), str(b)))
     if verifier_edges and not verifier_relation_is_acyclic(verifier_edges):
@@ -461,18 +470,18 @@ def loads(text: str) -> Scenario:
             candidates.append(AxiomCandidate(stmt, just))
 
     grid = []
-    for i, point in enumerate(doc.get("grid", []) or []):
+    for i, point in enumerate(_array(doc.get("grid"), "grid", problems)):
         v = _parse_vector(point, n, f"grid[{i}]", problems)
         if v is not None:
             grid.append(v)
 
     statements = []
-    for i, text_raw in enumerate(doc.get("statements", []) or []):
+    for i, text_raw in enumerate(_array(doc.get("statements"), "statements", problems)):
         stmt = _parse_statement(text_raw, alphabet, atoms, f"statements[{i}]", problems)
         if stmt is not None:
             statements.append(stmt)
     prove_targets = []
-    for i, text_raw in enumerate(doc.get("prove", []) or []):
+    for i, text_raw in enumerate(_array(doc.get("prove"), "prove", problems)):
         stmt = _parse_statement(text_raw, alphabet, atoms, f"prove[{i}]", problems)
         if stmt is not None:
             prove_targets.append(stmt)
@@ -481,6 +490,9 @@ def loads(text: str) -> Scenario:
     seen_names = set()
     for i, (path, ob_raw) in enumerate(_entries(doc.get("observers"), "observers", problems)):
         name = ob_raw.get("name", f"observer{i}")
+        if not isinstance(name, str):
+            problems.add(f"{path}.name", "expected a string")
+            continue
         if name in seen_names:
             problems.add(path, f"duplicate observer name {name!r}")
             continue
@@ -498,7 +510,7 @@ def loads(text: str) -> Scenario:
                 elif "strategy" in act_raw:
                     pairs = []
                     for atom_id, proc_id in sorted(act_raw["strategy"].items()):
-                        if proc_id not in procedures:
+                        if not isinstance(proc_id, str) or proc_id not in procedures:
                             problems.add(a_path, f"unknown procedure {proc_id!r} in strategy")
                         pairs.append((str(atom_id), str(proc_id)))
                     hint = tuple(pairs)
@@ -506,11 +518,14 @@ def loads(text: str) -> Scenario:
                     actions.append(VerifyStatement(stmt, hint))
             elif "implement" in act_raw:
                 proc_id = act_raw["implement"]
-                if proc_id not in procedures:
+                if not isinstance(proc_id, str) or proc_id not in procedures:
                     problems.add(a_path, f"unknown procedure {proc_id!r}")
                 coords = act_raw.get("at", ["0"] * (dimension + 1))
+                if not isinstance(coords, list):
+                    problems.add(f"{a_path}.at", "expected an array")
+                    coords = []
                 st_id = act_raw.get("spacetime")
-                if st_id is not None and st_id not in procedures:
+                if st_id is not None and (not isinstance(st_id, str) or st_id not in procedures):
                     problems.add(a_path, f"unknown space-time procedure {st_id!r}")
                 actions.append(
                     ImplementProcedure(str(proc_id), Location(tuple(str(c) for c in coords)), st_id)
@@ -535,7 +550,7 @@ def loads(text: str) -> Scenario:
         if target is not None and step_vec is not None:
             reflection = ReflectionConfig(target, stages, step_vec)
 
-    s_raw = doc.get("search", {}) or {}
+    s_raw = _object(doc.get("search"), "search", problems)
     max_steps = s_raw.get("max_steps", 4)
     size_bound = s_raw.get("size_bound", 7)
     if not isinstance(max_steps, int) or max_steps < 1:

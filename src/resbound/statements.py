@@ -355,18 +355,25 @@ def verify(
     budget: Optional[ResourceVector],
     world: World,
     ledger: SpendLedger,
+    strategy: Optional[Mapping[str, str]] = None,
 ) -> VerifyOutcome:
     """Decide ``s`` by actually running one admissible strategy.
 
     The cheapest strategy that fits both ``budget`` (when given) and the
-    ledger cap is charged; prior construction recorded in the ledger makes
-    later verifications cheaper.  Truth comes from the chosen procedures'
+    ledger cap is charged; a fixed ``strategy`` (atom -> procedure) is the
+    only one tried.  Prior construction recorded in the ledger makes later
+    verifications cheaper, and only the procedures deciding atoms of ``s``
+    run and build equipment.  Truth comes from the chosen procedures'
     outputs, never from peeking at ground truth directly.
     """
-    try:
-        strategies = _covering_strategies(s, world, prebuilt=frozenset(ledger.built))
-    except NoStrategy:
-        return VerifyOutcome.INSUFFICIENT
+    prebuilt = frozenset(ledger.built)
+    if strategy is not None:
+        strategies = [VerificationStrategy.of(strategy, prebuilt)]
+    else:
+        try:
+            strategies = _covering_strategies(s, world, prebuilt)
+        except NoStrategy:
+            return VerifyOutcome.INSUFFICIENT
     admissible: list[tuple[tuple, VerificationStrategy, ResourceVector]] = []
     for st in strategies:
         cost = strategy_cost(s, st, world)
@@ -382,10 +389,10 @@ def verify(
     valuation: dict[str, bool] = {}
     loc = world.default_location()
     fresh: set[str] = set()
-    for atom_id, proc_id in chosen.assignments:
-        proc = world.procedure(proc_id)
+    for atom_id in atoms_of(s):
+        proc = world.procedure(chosen.procedure_for(atom_id))
         valuation[atom_id] = proc.output_fn(world, loc) == "1"
-        fresh |= set(proc.equipment_used) - ledger.built
+        fresh |= proc.equipment_used - ledger.built
     ledger.commit(cost, fresh, f"verify:{render(s)}")
     return VerifyOutcome.TRUE if evaluate(s, valuation) else VerifyOutcome.FALSE
 

@@ -22,16 +22,21 @@ longest instance any schema can form over the uncapped closure, where the
 cap prunes nothing.  Theories that agree on these inputs share one search
 (its entailment verdict and the goal's root derivation), so the grid points
 of a lattice whose theories admit the same axioms search once.  The budget
-enters only afterwards: linearization picks the cheapest step ordering
-within r, and the proof checker re-prices every step under the theory's own
-cost parameters and alphabet.
+enters only afterwards.  Linearization is exact: among the orders that put
+premises before conclusions and the goal last, it takes the one with the
+least maintenance energy, the only cost the order changes, and breaks ties
+by the smaller tuple of step renderings.  That order fits r exactly when some
+order does.  The proof checker then re-prices every step under the theory's
+own cost parameters and alphabet.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import MalformedCode, StatementTooLong
@@ -298,17 +303,29 @@ class Proof:
         return self.steps[-1].statement
 
 
+def _step_costs(
+    theory: Theory, statements: list[Statement]
+) -> tuple[list[ResourceVector], ResourceVector]:
+    """Each step's cost in this order, and their sum: step pos of k is
+    created, displayed and maintained for the k-1-pos intervals after it."""
+    k = len(statements)
+    per_step = [
+        expression_cost(theory.render_expression(s), k - 1 - pos, theory.cost_params)
+        for pos, s in enumerate(statements)
+    ]
+    zero = ResourceVector.zeros(len(theory.budget.components))
+    return per_step, functools.reduce(ResourceVector.add, per_step, zero)
+
+
 def check_proof(theory: Theory, proof: Proof) -> list[str]:
     """Independent validation: every justification re-derived, every cost
     recomputed.  Returns a list of problems; empty means the proof stands."""
     problems: list[str] = []
     cap = theory.length_cap()
-    k = len(proof.steps)
-    total = ResourceVector.zeros(len(theory.budget.components))
+    per_step, total = _step_costs(theory, [step.statement for step in proof.steps])
     admitted = theory.axioms.admitted
     for pos, step in enumerate(proof.steps):
-        text = render(step.statement)
-        if cap is not None and len(text) > cap:
+        if cap is not None and rendered_length(step.statement) > cap:
             problems.append(f"step {pos}: formula exceeds language bound")
         just = step.justification
         if isinstance(just, TheoryAxiom):
@@ -336,12 +353,8 @@ def check_proof(theory: Theory, proof: Proof) -> list[str]:
                     problems.append(f"step {pos}: cited steps do not fit modus ponens")
         else:
             problems.append(f"step {pos}: unknown justification {just!r}")
-        expected_cost = expression_cost(
-            Expression(text, theory.world.alphabet), k - 1 - pos, theory.cost_params
-        )
-        if step.cost != expected_cost:
+        if step.cost != per_step[pos]:
             problems.append(f"step {pos}: cost mismatch")
-        total = total.add(expected_cost)
     if proof.cost != total:
         problems.append("total cost mismatch")
     if not total.leq(theory.budget):
@@ -561,61 +574,49 @@ def _chosen_subdag(root: _Derivation) -> dict[Statement, _Derivation]:
     return chosen
 
 
-def _topological_orders(
-    chosen: dict[Statement, _Derivation], root: Statement, limit: int = 5040
-):
-    """All orderings with premises before conclusions and the goal last."""
-    deps: dict[Statement, set[Statement]] = {}
-    for stmt, d in chosen.items():
-        deps[stmt] = {p.statement for p in d.premises}
-    rest = sorted((s for s in chosen if s != root), key=statement_sort_key)
-    produced = 0
+def _cheapest_order(
+    chosen: dict[Statement, _Derivation], root: Statement, delta_e: Fraction
+) -> list[Statement]:
+    """The step order with the least upkeep, premises before conclusions and
+    the goal last; equal upkeep goes to the smaller tuple of renderings.
 
-    def extend(placed: list[Statement], remaining: list[Statement]):
-        nonlocal produced
-        if produced >= limit:
-            return
-        if not remaining:
-            produced += 1
-            yield placed + [root]
-            return
-        placed_set = set(placed)
-        for i, stmt in enumerate(remaining):
-            if deps[stmt] <= placed_set:
-                yield from extend(placed + [stmt], remaining[:i] + remaining[i + 1 :])
+    Step pos of k pays (k-1-pos)*L*delta_e maintenance energy and nothing
+    else a step costs depends on the order, so this is precedence-constrained
+    sequencing, solved exactly by a DP over the set of steps already placed
+    (Lawler, Ann. Discrete Math. 2, 1978)."""
+    rest = [s for s in chosen if s != root]
+    texts = [_crender(s) for s in rest]
+    bit = {s: 1 << i for i, s in enumerate(rest)}
+    needs = [sum({bit[p.statement] for p in chosen[s].premises}) for s in rest]
+    # with delta_e = 0 every order costs the same and the renderings decide
+    weights = [len(t) if delta_e else 0 for t in texts]
+    full = (1 << len(rest)) - 1
 
-    yield from extend([], rest)
+    @functools.cache
+    def best(placed: int) -> tuple[int, tuple[str, ...]]:
+        if placed == full:
+            return 0, ()
+        hold = len(rest) - placed.bit_count()
+        options = []
+        for i, need in enumerate(needs):
+            if not placed >> i & 1 and need | placed == placed:
+                upkeep, tail = best(placed | 1 << i)
+                options.append((upkeep + hold * weights[i], (texts[i],) + tail))
+        return min(options)
 
-
-def _order_cost(
-    order: list[Statement], theory: Theory
-) -> tuple[ResourceVector, list[ResourceVector]]:
-    k = len(order)
-    per_step = []
-    total = ResourceVector.zeros(len(theory.budget.components))
-    for pos, stmt in enumerate(order):
-        cost = expression_cost(theory.render_expression(stmt), k - 1 - pos, theory.cost_params)
-        per_step.append(cost)
-        total = total.add(cost)
-    return total, per_step
+    by_text = dict(zip(texts, rest))
+    return [by_text[t] for t in best(0)[1]] + [root]
 
 
 def _linearize(theory: Theory, root: _Derivation) -> Optional[Proof]:
     chosen = _chosen_subdag(root)
-    candidates: list[tuple[tuple, list[Statement], list[ResourceVector], ResourceVector]] = []
-    for order in _topological_orders(chosen, root.statement):
-        total, per_step = _order_cost(order, theory)
-        if not total.leq(theory.budget):
-            continue
-        key = (total.sort_key(), tuple(render(s) for s in order))
-        candidates.append((key, order, per_step, total))
-    if not candidates:
+    order = _cheapest_order(chosen, root.statement, theory.cost_params.delta_e)
+    per_step, total = _step_costs(theory, order)
+    if not total.leq(theory.budget):
         return None
-    candidates.sort(key=lambda item: item[0])
-    _, order, per_step, total = candidates[0]
     index = {stmt: pos for pos, stmt in enumerate(order)}
     steps = []
-    for pos, stmt in enumerate(order):
+    for stmt, cost in zip(order, per_step):
         d = chosen[stmt]
         if d.kind == "axiom":
             just: StepJustification = TheoryAxiom(d.axiom_index)
@@ -623,7 +624,7 @@ def _linearize(theory: Theory, root: _Derivation) -> Optional[Proof]:
             just = SchemaInstance(d.schema_index, d.bindings)
         else:
             just = ModusPonens(index[d.premises[0].statement], index[d.premises[1].statement])
-        steps.append(ProofStep(stmt, just, per_step[pos]))
+        steps.append(ProofStep(stmt, just, cost))
     proof = Proof(tuple(steps), total)
     problems = check_proof(theory, proof)
     if problems:

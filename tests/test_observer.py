@@ -152,6 +152,23 @@ def test_strategy_hint_overrides_choice(std_world):
     assert state.spent == vec(2, 5, 2, 2)  # the pB2 route, not the cheaper-sorted one
 
 
+def test_hint_builds_only_the_equipment_its_statement_uses(std_world):
+    # the pA entry of the hint is not run for D, so the scope stays unbuilt
+    # and verifying A afterwards pays for it
+    hinted_d = VerifyStatement(Atom("D"), strategy_hint=(("A", "pA"), ("D", "pD")))
+    trace, state = run(script(hinted_d, VerifyStatement(Atom("A"))), std_world)
+    assert [r.delta for r in trace.records] == [vec(1, 1, 1, 1), vec(3, 2, 1, 1)]
+    assert state.ledger.built == {"scope"}
+
+
+def test_knowledge_drift_check_reads_the_ledger(std_world):
+    state = ObserverState.fresh(std_world)
+    step(state, VerifyStatement(Atom("A")), std_world)
+    state.ledger.log.append(("tampered", vec(1, 0, 0, 0)))
+    with pytest.raises(AssertionError):
+        knowledge_statement(state)
+
+
 def test_locate_in_lattice(std_world):
     grid = (vec(1, 1, 1, 1), vec(4, 4, 4, 4), vec(1, 4, 4, 4), vec(9, 9, 9, 9))
     state = ObserverState.fresh(std_world)

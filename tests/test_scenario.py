@@ -159,6 +159,7 @@ def _set(path, value):
 
 
 _VERIFY_X = {"name": "o", "actions": [{"verify": "X", "strategy": "pX"}]}
+_IMPLEMENT_AT_3 = {"name": "o", "actions": [{"implement": "pX", "at": 3}]}
 
 
 @pytest.mark.parametrize(
@@ -174,6 +175,19 @@ _VERIFY_X = {"name": "o", "actions": [{"verify": "X", "strategy": "pX"}]}
         (_set(("observers",), [_VERIFY_X]), "observers[0].actions[0].strategy: expected an object"),
         (_set(("cost_model",), ["1", "1"]), "cost_model: expected an object"),
         (_set(("reflection",), "X"), "reflection: expected an object"),
+        (_set(("world", "true_purposes"), ["x"]), "world.true_purposes: expected an object"),
+        (_set(("search",), "x"), "search: expected an object"),
+        (_set(("world", "procedures", 0, "output"), "atom"), "world.procedures[0].output: expected an object"),
+        (_set(("world", "procedures", 0, "equipment"), 3), "world.procedures[0].equipment: expected an array"),
+        (_set(("world", "procedures", 0, "output"), {"atom": "X", "when_true": "x"}), "world.procedures[0].output: characters ['x'] not in alphabet"),
+        (_set(("world", "direct_atoms"), [["X"]]), "world.direct_atoms[0]: unknown atom ['X']"),
+        (_set(("world", "direct_atoms"), 3), "world.direct_atoms: expected an array"),
+        (_set(("statements",), 3), "statements: expected an array"),
+        (_set(("prove",), 3), "prove: expected an array"),
+        (_set(("grid",), 3), "grid: expected an array"),
+        (_set(("world", "verifier_of"), 3), "world.verifier_of: expected an array"),
+        (_set(("observers",), [{"name": ["o"], "actions": []}]), "observers[0].name: expected a string"),
+        (_set(("observers",), [_IMPLEMENT_AT_3]), "observers[0].actions[0].at: expected an array"),
         (None, "error file-unreadable:"),
     ],
 )

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from resbound import (
     And,
     Atom,
     AxiomCandidate,
+    CostParameters,
     Expression,
     GodelMap,
     Implies,
@@ -327,6 +329,91 @@ def test_step_bound_applies_to_one_step_proofs(std_world, std_cost):
     theory = theory_with(std_world, std_cost, ["A", "(A->B)"])
     assert is_theorem(theory, Atom("A"), 1)
     assert not is_theorem(theory, Atom("A"), 0)
+
+
+# --- exact step ordering ------------------------------------------------------------
+
+_CHAIN = "KEMVBCRD"
+
+
+def chain_theory(energy):
+    """K and (K->E) ... (R->D): the proof of D has 15 steps and far more than
+    5040 premise-respecting orders."""
+    from resbound import DetermineTruth, Procedure, World
+    from resbound.world import truth_output
+
+    alpha = Alphabet.from_string(_CHAIN + "()!&|->")
+    procs = {
+        f"p{a}": Procedure(
+            f"p{a}", frozenset(), Expression("", alpha), vec(0, 0, 0, 0),
+            DetermineTruth(a), truth_output(a),
+        )
+        for a in _CHAIN
+    }
+    world = World(
+        dimension=1,
+        alphabet=alpha,
+        equipment={},
+        procedures=procs,
+        ground_truth={a: True for a in _CHAIN},
+        true_purposes={pid: p.declared_purpose for pid, p in procs.items()},
+    )
+    cost = CostParameters.uniform(4, delta=1, delta_e=Fraction(1, 100))
+    axioms = [_CHAIN[0]] + [f"({a}->{b})" for a, b in zip(_CHAIN, _CHAIN[1:])]
+    budget = vec(1000, 1000, 1000, energy)
+    return build_theory(budget, tuple(AxiomCandidate(parse(t)) for t in axioms), world, cost, 15)
+
+
+@pytest.mark.parametrize("energy", [100000, Fraction(207, 2)], ids=["ample", "exact"])
+def test_long_chain_gets_its_cheapest_order(energy):
+    # each implication axiom is written just before the step that uses it:
+    # 2 * (8 * 1 + 7 * 6) = 100 per component, plus 350 symbol-intervals of
+    # upkeep at 1/100 on energy
+    theory = chain_theory(energy)
+    proof = prove(theory, Atom("D"))
+    assert proof is not None
+    assert proof.cost == vec(100, 100, 100, Fraction(207, 2))
+    assert not check_proof(theory, proof)
+
+
+def _cheapest_by_enumeration(theory, proof):
+    """(cost, renderings) of the cheapest order of the proof's steps that puts
+    premises first and the goal last, found by trying every permutation."""
+    from resbound.theory import _step_costs
+
+    stmts = [s.statement for s in proof.steps]
+    needs = {
+        s.statement: {stmts[s.justification.implication_step], stmts[s.justification.antecedent_step]}
+        if isinstance(s.justification, ModusPonens)
+        else set()
+        for s in proof.steps
+    }
+    keys = []
+    for perm in itertools.permutations(stmts[:-1]):
+        order = [*perm, stmts[-1]]
+        if all(needs[s] <= set(order[:i]) for i, s in enumerate(order)):
+            keys.append((_step_costs(theory, order)[1], [render(s) for s in order]))
+    return min(keys, key=lambda k: (k[0].sort_key(), k[1]))
+
+
+@pytest.mark.parametrize("delta_e", [0, Fraction(1, 100)])
+@pytest.mark.parametrize(
+    "axioms, goal",
+    [
+        (["A", "(A->B)"], "B"),
+        (["(A&B)"], "A"),
+        (["A", "(A->B)", "(B->D)"], "D"),
+        (["A", "B"], "(A&B)"),
+    ],
+)
+def test_chosen_order_is_the_cheapest_of_all_orders(std_world, delta_e, axioms, goal):
+    cost = CostParameters.uniform(4, delta=1, delta_e=delta_e)
+    theory = theory_with(std_world, cost, axioms, steps=6)
+    proof = prove(theory, parse(goal))
+    assert proof is not None
+    assert (proof.cost, [render(s.statement) for s in proof.steps]) == _cheapest_by_enumeration(
+        theory, proof
+    )
 
 
 # --- searches shared across theories -------------------------------------------------
