@@ -456,6 +456,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error file-unreadable: {args.scenario}: {exc.strerror}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(
+            f"error file-unreadable: {args.scenario}: not UTF-8 at byte {exc.start}",
+            file=sys.stderr,
+        )
+        return 2
     except ScenarioError as exc:
         for problem in exc.problems:
             print(f"error scenario-invalid: {problem}", file=sys.stderr)
@@ -463,6 +469,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         return run_command(args.command, scn, Path(args.out), args)
+    except OSError as exc:
+        print(f"error out-unusable: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except ResboundError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return 3

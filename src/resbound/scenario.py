@@ -585,4 +585,4 @@ def loads(text: str) -> Scenario:
 
 
 def load(path: Union[str, Path]) -> Scenario:
-    return loads(Path(path).read_text())
+    return loads(Path(path).read_text(encoding="utf-8"))

@@ -31,93 +31,117 @@ from .world import DetermineTruth, Procedure, SpendLedger, World
 
 
 # --- AST --------------------------------------------------------------------
-# Statements are deeply nested and live in hot dict/set paths inside the
-# prover, so each node caches its structural hash after the first computation.
+# Statements are hash-consed (Filliatre & Conchon, "Type-safe modular
+# hash-consing", ML Workshop 2006): building a node returns the one node with
+# that structure, so `==` is identity and each node computes its hash and
+# rendered length once, at construction, and its rendering at most once.  The
+# prover asks for these millions of times.  One plain dict is the table; a
+# node's hash is hash((tag, *parts)), with tags 0-4 for Atom, Not, And, Or,
+# Implies.  The table keys sub-statements by id(), which hashes without a
+# Python-level call; ids stay unique because the table is never pruned and so
+# keeps every node alive.  A weak-value table, which would let nodes die, made
+# the prover rebuild schema instances between searches and ran slower.
 
-@dataclass(frozen=True)
-class Atom:
+_NODES: dict[tuple, "Statement"] = {}
+
+
+def _cons(cls, key: tuple, length: int, *parts):
+    node = object.__new__(cls)
+    init = object.__setattr__
+    for name, value in zip(cls.__match_args__, parts):
+        init(node, name, value)
+    init(node, "_hash", hash((key[0], *parts)))
+    init(node, "_len", length)
+    init(node, "_text", None)
+    _NODES[key] = node
+    return node
+
+
+class _Node:
+    __slots__ = ("_hash", "_len", "_text")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Atom(_Node):
+    __slots__ = __match_args__ = ("claim_id",)
     claim_id: str
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((0, self.claim_id))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __new__(cls, claim_id: str) -> "Atom":
+        key = (0, claim_id)
+        return _NODES.get(key) or _cons(cls, key, len(claim_id), claim_id)
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(_Node):
+    __slots__ = __match_args__ = ("inner",)
     inner: "Statement"
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((1, self.inner))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __new__(cls, inner: "Statement") -> "Not":
+        key = (1, id(inner))
+        return _NODES.get(key) or _cons(cls, key, 1 + inner._len, inner)
 
 
-@dataclass(frozen=True)
-class And:
+class _Binary(_Node):
+    __slots__ = __match_args__ = ("left", "right")
     left: "Statement"
     right: "Statement"
+    _tag: int
+    _glyph: str
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((2, self.left, self.right))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Statement"
-    right: "Statement"
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((3, self.left, self.right))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __new__(cls, left: "Statement", right: "Statement"):
+        key = (cls._tag, id(left), id(right))
+        return _NODES.get(key) or _cons(
+            cls, key, 2 + len(cls._glyph) + left._len + right._len, left, right
+        )
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Statement"
-    right: "Statement"
+class And(_Binary):
+    __slots__ = ()
+    _tag, _glyph = 2, "&"
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((4, self.left, self.right))
-            object.__setattr__(self, "_hash", h)
-            return h
+
+class Or(_Binary):
+    __slots__ = ()
+    _tag, _glyph = 3, "|"
+
+
+class Implies(_Binary):
+    __slots__ = ()
+    _tag, _glyph = 4, "->"
 
 
 Statement = Union[Atom, Not, And, Or, Implies]
 
-_BINOP_GLYPH = {And: "&", Or: "|", Implies: "->"}
-
 
 def render(s: Statement) -> str:
-    if isinstance(s, Atom):
-        return s.claim_id
-    if isinstance(s, Not):
-        return "!" + render(s.inner)
-    glyph = _BINOP_GLYPH[type(s)]
-    return f"({render(s.left)}{glyph}{render(s.right)})"
+    text = s._text
+    if text is None:
+        if isinstance(s, Atom):
+            text = s.claim_id
+        elif isinstance(s, Not):
+            text = "!" + render(s.inner)
+        else:
+            text = f"({render(s.left)}{s._glyph}{render(s.right)})"
+        object.__setattr__(s, "_text", text)
+    return text
 
 
 def rendered_length(s: Statement) -> int:
-    return len(render(s))
+    return s._len
 
 
 def atoms_of(s: Statement) -> frozenset[str]:
@@ -149,8 +173,7 @@ def evaluate(s: Statement, valuation: Mapping[str, bool]) -> bool:
 
 
 def statement_sort_key(s: Statement) -> tuple[int, str]:
-    text = render(s)
-    return (len(text), text)
+    return (s._len, render(s))
 
 
 # --- parsing ----------------------------------------------------------------
@@ -210,7 +233,10 @@ def parse(text: str) -> Statement:
             return Atom(tok)
         raise StatementSyntaxError(f"unexpected token {tok!r}")
 
-    result = statement()
+    try:
+        result = statement()
+    except RecursionError:
+        raise StatementSyntaxError("statement nested too deeply") from None
     if pos != len(tokens):
         raise StatementSyntaxError(f"trailing tokens: {' '.join(tokens[pos:])}")
     return result

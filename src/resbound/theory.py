@@ -364,43 +364,14 @@ def check_proof(theory: Theory, proof: Proof) -> list[str]:
 
 # --- proof search -------------------------------------------------------------
 
-_render_cache: dict[Statement, str] = {}
-
-
-def _crender(s: Statement) -> str:
-    text = _render_cache.get(s)
-    if text is None:
-        text = render(s)
-        _render_cache[s] = text
-    return text
-
-
-_len_cache: dict[Statement, int] = {}
-
-
-def _clen(s: Statement) -> int:
-    n = _len_cache.get(s)
-    if n is None:
-        if isinstance(s, Atom):
-            n = len(s.claim_id)
-        elif isinstance(s, Not):
-            n = 1 + _clen(s.inner)
-        elif isinstance(s, Implies):
-            n = 4 + _clen(s.left) + _clen(s.right)
-        else:
-            n = 3 + _clen(s.left) + _clen(s.right)
-        _len_cache[s] = n
-    return n
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class _Derivation:
     statement: Statement
     kind: str  # "axiom" | "schema" | "mp"
     key: tuple  # (step count, total rendered length); renders only break ties
     axiom_index: int = -1
     schema_index: int = -1
-    bindings: tuple[tuple[str, Statement], ...] = ()
+    values: tuple[Statement, ...] = ()  # a schema instance's metavariables, in order
     premises: tuple["_Derivation", ...] = ()
     nodes: frozenset[Statement] = frozenset()
     tie: Optional[tuple] = None
@@ -408,21 +379,8 @@ class _Derivation:
 
 def _tie(d: _Derivation) -> tuple:
     if d.tie is None:
-        object.__setattr__(d, "tie", tuple(sorted(_crender(n) for n in d.nodes)))
+        d.tie = tuple(sorted(render(n) for n in d.nodes))
     return d.tie
-
-
-# interning pool members keeps instance-cache keys and cached hashes warm
-# across goals; equality stays structural everywhere
-_pool_intern: dict[Statement, Statement] = {}
-
-
-def _intern(s: Statement) -> Statement:
-    got = _pool_intern.get(s)
-    if got is None:
-        _pool_intern[s] = s
-        got = s
-    return got
 
 
 def _closure(axioms: tuple[Statement, ...], goal: Statement) -> set[Statement]:
@@ -434,8 +392,8 @@ def _closure(axioms: tuple[Statement, ...], goal: Statement) -> set[Statement]:
 
 
 def _instantiation_pool(closure: set[Statement], cap: Optional[int]) -> list[Statement]:
-    pool = [_intern(s) for s in closure if cap is None or _clen(s) <= cap]
-    return sorted(pool, key=lambda s: (len(_crender(s)), _crender(s)))
+    pool = [s for s in closure if cap is None or rendered_length(s) <= cap]
+    return sorted(pool, key=statement_sort_key)
 
 
 def _schema_shape(template: Statement) -> tuple[int, dict[str, int]]:
@@ -458,9 +416,6 @@ def _schema_shape(template: Statement) -> tuple[int, dict[str, int]]:
 
 _SCHEMA_SHAPES = [_schema_shape(schema.template) for schema in SCHEMAS]
 
-# instances are pure syntax, so substitution results are shared globally
-_instance_cache: dict[tuple[int, tuple[Statement, ...]], Statement] = {}
-
 
 def _base_derivations(
     axioms: tuple[Statement, ...], pool: list[Statement], cap: Optional[int]
@@ -472,11 +427,12 @@ def _base_derivations(
             continue
         seen.add(ax)
         out.append(
-            _Derivation(ax, "axiom", (1, _clen(ax)), axiom_index=idx, nodes=frozenset({ax}))
+            _Derivation(
+                ax, "axiom", (1, rendered_length(ax)), axiom_index=idx, nodes=frozenset({ax})
+            )
         )
-    pool_lens = [_clen(p) for p in pool]
+    pool_lens = [rendered_length(p) for p in pool]
     longest = max(pool_lens, default=0)
-    cache = _instance_cache
     for schema in SCHEMAS:
         const, coeff_map = _SCHEMA_SHAPES[schema.index]
         coeffs = [coeff_map[v] for v in schema.metavars]
@@ -491,14 +447,7 @@ def _base_derivations(
         else:
             combos = itertools.product(pool, repeat=arity)
         for combo in combos:
-            cache_key = (schema.index,) + combo
-            inst = cache.get(cache_key)
-            if inst is None:
-                inst = substitute(schema.template, dict(zip(schema.metavars, combo)))
-                _len_cache[inst] = const + sum(
-                    c * _clen(s) for c, s in zip(coeffs, combo)
-                )
-                cache[cache_key] = inst
+            inst = substitute(schema.template, dict(zip(schema.metavars, combo)))
             if inst in seen:
                 continue
             seen.add(inst)
@@ -506,9 +455,9 @@ def _base_derivations(
                 _Derivation(
                     inst,
                     "schema",
-                    (1, _clen(inst)),
+                    (1, rendered_length(inst)),
                     schema_index=schema.index,
-                    bindings=tuple(zip(schema.metavars, combo)),
+                    values=combo,
                     nodes=frozenset({inst}),
                 )
             )
@@ -532,7 +481,7 @@ def _saturate(base: list[_Derivation], max_steps: int) -> dict[Statement, _Deriv
         if count > max_steps:
             return
         cur = best.get(right)
-        key = (count, sum(_clen(n) for n in nodes))
+        key = (count, sum(rendered_length(n) for n in nodes))
         if cur is not None and cur.key < key:
             return
         cand = _Derivation(right, "mp", key, premises=(fd, xd), nodes=nodes)
@@ -585,7 +534,7 @@ def _cheapest_order(
     sequencing, solved exactly by a DP over the set of steps already placed
     (Lawler, Ann. Discrete Math. 2, 1978)."""
     rest = [s for s in chosen if s != root]
-    texts = [_crender(s) for s in rest]
+    texts = [render(s) for s in rest]
     bit = {s: 1 << i for i, s in enumerate(rest)}
     needs = [sum({bit[p.statement] for p in chosen[s].premises}) for s in rest]
     # with delta_e = 0 every order costs the same and the renderings decide
@@ -621,7 +570,8 @@ def _linearize(theory: Theory, root: _Derivation) -> Optional[Proof]:
         if d.kind == "axiom":
             just: StepJustification = TheoryAxiom(d.axiom_index)
         elif d.kind == "schema":
-            just = SchemaInstance(d.schema_index, d.bindings)
+            metavars = SCHEMAS[d.schema_index].metavars
+            just = SchemaInstance(d.schema_index, tuple(zip(metavars, d.values)))
         else:
             just = ModusPonens(index[d.premises[0].statement], index[d.premises[1].statement])
         steps.append(ProofStep(stmt, just, cost))
@@ -651,7 +601,7 @@ def _effective_cap(closure: set[Statement], cap: Optional[int]) -> Optional[int]
     form over the unfiltered pool: then the cap prunes nothing."""
     if cap is None:
         return None
-    longest = max(_clen(s) for s in closure)
+    longest = max(rendered_length(s) for s in closure)
     widest = max(const + longest * sum(coeffs.values()) for const, coeffs in _SCHEMA_SHAPES)
     return None if cap >= widest else cap
 
@@ -668,7 +618,7 @@ def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> O
     if cap is not None and rendered_length(goal) > cap:
         raise StatementTooLong(render(goal))
     steps = theory.max_proof_steps if max_steps is None else max_steps
-    key = (render(goal), steps)
+    key = (goal, steps)
     if key in theory._prove_cache:
         return theory._prove_cache[key]
     axioms = tuple(a.statement for a in theory.axioms.admitted)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import resbound
 from resbound.cli import main
 
 FIXTURES = Path("fixtures")
@@ -100,6 +104,41 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(tmp_path):
     assert run_cli("--scenario", str(tmp_path / "nope.scn"), "--command", "cost",
                    "--out", str(tmp_path)) == 2
+
+
+def test_undecodable_scenario_and_unusable_out_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    assert run_cli("--scenario", str(bad), "--command", "cost", "--out", str(tmp_path / "o")) == 2
+    assert f"error file-unreadable: {bad}" in capsys.readouterr().err
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = run_cli(
+        "--scenario", str(FIXTURES / "minimal.scn"), "--command", "cost", "--out", str(taken)
+    )
+    assert code == 2
+    assert f"error out-unusable: {taken}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, seed):
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": seed,
+        "PYTHONPATH": str(Path(resbound.__file__).parents[1]),
+    }
+    for command in ("prove", "reflect"):
+        out = tmp_path / command
+        subprocess.run(
+            [sys.executable, "-m", "resbound.cli", "--scenario", str(FIXTURES / "standard.scn"),
+             "--command", command, "--out", str(out), "--seed", "0"],
+            env=env,
+            check=True,
+        )
+        golden = Path("out") / "standard" / command
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+        for path in golden.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), (seed, command, path.name)
 
 
 def test_small_lattice_run(tmp_path):

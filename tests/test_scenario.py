@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from resbound.cli import main
 from resbound.errors import ScenarioError
@@ -188,6 +191,7 @@ _IMPLEMENT_AT_3 = {"name": "o", "actions": [{"implement": "pX", "at": 3}]}
         (_set(("world", "verifier_of"), 3), "world.verifier_of: expected an array"),
         (_set(("observers",), [{"name": ["o"], "actions": []}]), "observers[0].name: expected a string"),
         (_set(("observers",), [_IMPLEMENT_AT_3]), "observers[0].actions[0].at: expected an array"),
+        (_set(("statements",), ["!" * 3000 + "X"]), "statements[0]: parse error: statement nested too deeply"),
         (None, "error file-unreadable:"),
     ],
 )
@@ -202,3 +206,41 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, mutate, ex
     code = main(["--scenario", str(scenario), "--command", "cost", "--out", str(tmp_path / "out")])
     assert code == 2
     assert expected in capsys.readouterr().err
+
+
+def _node_paths(node, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+_JSON_VALUES = (None, True, 0, -1.5, "x", [], [1], {}, {"x": 1})
+
+
+@pytest.mark.parametrize("fixture", ["minimal", "nonclosure", "standard", "negative_control"])
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_a_wrong_typed_node_exits_0_or_2(tmp_path, fixture, data):
+    doc = json.loads(Path(f"{FIXTURES}/{fixture}.scn").read_text())
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    node = doc
+    for key in path:
+        node = node[key]
+    value = data.draw(st.sampled_from([v for v in _JSON_VALUES if type(v) is not type(node)]))
+    if path:
+        _set(path, value)(doc)
+    else:
+        doc = value
+    scenario = tmp_path / "fuzz.scn"
+    scenario.write_text(json.dumps(doc))
+    code = main(["--scenario", str(scenario), "--command", "cost", "--out", str(tmp_path / "out")])
+    assert code in (0, 2)

@@ -81,6 +81,33 @@ def test_render_parse_roundtrip(s):
     assert parse(render(s)) == s
 
 
+def test_equal_statements_are_one_node():
+    assert parse("(A->!B)") is Implies(Atom("A"), Not(Atom("B")))
+    assert parse("(A&B)") is not parse("(A|B)")
+
+
+def test_statement_hash_is_hash_of_tag_and_parts():
+    a, b = Atom("A"), Atom("B")
+    assert hash(a) == hash((0, "A"))
+    assert hash(Not(a)) == hash((1, a))
+    assert hash(And(a, b)) == hash((2, a, b))
+    assert hash(Or(a, b)) == hash((3, a, b))
+    assert hash(Implies(a, b)) == hash((4, a, b))
+
+
+@pytest.mark.parametrize(
+    "node, field",
+    [(Atom("A"), "claim_id"), (Not(Atom("A")), "inner"), (Implies(Atom("A"), Atom("B")), "left")],
+)
+def test_statements_are_immutable(node, field):
+    before = getattr(node, field)
+    with pytest.raises(AttributeError):
+        setattr(node, field, Atom("C"))
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+    assert getattr(node, field) is before
+
+
 def test_enumerate_statements_lengths():
     got = enumerate_statements(["A", "B"], 6)
     assert Atom("A") in got
