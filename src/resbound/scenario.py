@@ -130,6 +130,11 @@ class _Problems:
         return bool(self.items)
 
 
+def _is_int(raw: Any) -> bool:
+    """A JSON integer: JSON true and false load as bools, which are ints."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _array(raw: Any, path: str, problems: _Problems) -> list:
     """An array section's items; an absent section is empty, and anything
     else is reported and read as empty."""
@@ -182,6 +187,13 @@ def _parse_vector(raw: Any, n: int, path: str, problems: _Problems) -> Optional[
     return ResourceVector(tuple(values))
 
 
+def _figures(raw: dict) -> int:
+    figures = raw["figures"]
+    if not _is_int(figures):
+        raise TypeError(f"figures must be an integer, not {figures!r}")
+    return figures
+
+
 def _parse_purpose(raw: Any, path: str, problems: _Problems) -> Purpose:
     if not isinstance(raw, dict) or "kind" not in raw:
         problems.add(path, "purpose must be an object with a 'kind'")
@@ -189,11 +201,11 @@ def _parse_purpose(raw: Any, path: str, problems: _Problems) -> Purpose:
     kind = raw.get("kind")
     try:
         if kind == "measure_property":
-            return MeasureProperty(str(raw["property"]), int(raw["figures"]))
+            return MeasureProperty(str(raw["property"]), _figures(raw))
         if kind == "compute_prediction":
-            return ComputePrediction(str(raw["property"]), int(raw["figures"]))
+            return ComputePrediction(str(raw["property"]), _figures(raw))
         if kind == "measure_spacetime":
-            return MeasureSpaceTime(int(raw["figures"]))
+            return MeasureSpaceTime(_figures(raw))
         if kind == "determine_truth":
             return DetermineTruth(str(raw["statement"]))
         if kind == "none":
@@ -239,11 +251,11 @@ def loads(text: str) -> Scenario:
         raise ScenarioError(["top level: expected an object"])
 
     version = doc.get("schema_version")
-    if version != 1:
+    if not _is_int(version) or version != 1:
         problems.add("schema_version", f"unsupported version {version!r} (expected 1)")
 
     dimension = doc.get("dimension", 1)
-    if not isinstance(dimension, int) or dimension < 0:
+    if not _is_int(dimension) or dimension < 0:
         problems.add("dimension", "must be a nonnegative integer")
         dimension = 1
     n = 2 * dimension + 2
@@ -541,7 +553,7 @@ def loads(text: str) -> Scenario:
     elif r_raw:
         target = _parse_statement(r_raw.get("target"), alphabet, atoms, "reflection.target", problems)
         stages = r_raw.get("stages", 1)
-        if not isinstance(stages, int) or stages < 1:
+        if not _is_int(stages) or stages < 1:
             problems.add("reflection.stages", "must be a positive integer")
             stages = 1
         step_vec = _parse_vector(
@@ -553,10 +565,10 @@ def loads(text: str) -> Scenario:
     s_raw = _object(doc.get("search"), "search", problems)
     max_steps = s_raw.get("max_steps", 4)
     size_bound = s_raw.get("size_bound", 7)
-    if not isinstance(max_steps, int) or max_steps < 1:
+    if not _is_int(max_steps) or max_steps < 1:
         problems.add("search.max_steps", "must be a positive integer")
         max_steps = 4
-    if not isinstance(size_bound, int) or size_bound < 1:
+    if not _is_int(size_bound) or size_bound < 1:
         problems.add("search.size_bound", "must be a positive integer")
         size_bound = 7
     search = SearchLimits(max_steps, size_bound)

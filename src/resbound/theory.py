@@ -22,12 +22,23 @@ longest instance any schema can form over the uncapped closure, where the
 cap prunes nothing.  Theories that agree on these inputs share one search
 (its entailment verdict and the goal's root derivation), so the grid points
 of a lattice whose theories admit the same axioms search once.  The budget
-enters only afterwards.  Linearization is exact: among the orders that put
-premises before conclusions and the goal last, it takes the one with the
-least maintenance energy, the only cost the order changes, and breaks ties
-by the smaller tuple of step renderings.  That order fits r exactly when some
-order does.  The proof checker then re-prices every step under the theory's
-own cost parameters and alphabet.
+enters only afterwards.
+
+The saturation under modus ponens does not depend on the goal either: it
+derives every statement reachable from the axioms and the schema instances
+over the instantiation pool, and a search reads one entry of it.  Goals with
+the same axioms, pool, step bound and effective cap therefore share one
+saturation, such as the links of a chain, which are subformulas of its axioms.
+Only the most recent saturation is kept, in one slot, because each can hold
+tens of thousands of derivations and the goals that share one arrive one after
+another.
+
+Linearization is exact: among the orders that put premises before conclusions
+and the goal last, it takes the one with the least maintenance energy, the
+only cost the order changes, and breaks ties by the smaller tuple of step
+renderings.  That order fits r exactly when some order does.  The proof
+checker then re-prices every step under the theory's own cost parameters and
+alphabet.
 """
 
 from __future__ import annotations
@@ -611,6 +622,21 @@ def _effective_cap(closure: set[Statement], cap: Optional[int]) -> Optional[int]
 # root derivation or None
 _search_memo: dict[tuple, Optional[_Derivation]] = {}
 
+# the most recent saturation, shared by consecutive goals with the same pool:
+# ((axiom statements, pool, step bound, effective cap), best derivation map)
+_saturation: tuple[tuple, dict[Statement, _Derivation]] = ((), {})
+
+
+def _saturated(
+    axioms: tuple[Statement, ...], pool: list[Statement], steps: int, cap: Optional[int]
+) -> dict[Statement, _Derivation]:
+    global _saturation
+    key = (axioms, tuple(pool), steps, cap)
+    if _saturation[0] != key:
+        _saturation = ((), {})  # free the old map before building the new one
+        _saturation = (key, _saturate(_base_derivations(axioms, pool, cap), steps))
+    return _saturation[1]
+
 
 def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> Optional[Proof]:
     """A cheapest found proof of ``goal`` within the budget, or None."""
@@ -631,7 +657,7 @@ def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> O
         root = None
         if _entailed(axioms, goal):
             pool = _instantiation_pool(closure, search_cap)
-            root = _saturate(_base_derivations(axioms, pool, search_cap), steps).get(goal)
+            root = _saturated(axioms, pool, steps, search_cap).get(goal)
         _search_memo[search_key] = root
     proof = _linearize(theory, root) if root is not None else None
     theory._prove_cache[key] = proof

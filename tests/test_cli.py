@@ -221,3 +221,13 @@ def test_bounds_below_one_exit_2(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_python_dash_m_resbound_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(resbound.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "resbound", "--scenario", str(FIXTURES / "minimal.scn"),
+         "--command", "cost", "--out", str(tmp_path)],
+        env=env,
+    )
+    assert proc.returncode == 0

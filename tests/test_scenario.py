@@ -192,6 +192,12 @@ _IMPLEMENT_AT_3 = {"name": "o", "actions": [{"implement": "pX", "at": 3}]}
         (_set(("observers",), [{"name": ["o"], "actions": []}]), "observers[0].name: expected a string"),
         (_set(("observers",), [_IMPLEMENT_AT_3]), "observers[0].actions[0].at: expected an array"),
         (_set(("statements",), ["!" * 3000 + "X"]), "statements[0]: parse error: statement nested too deeply"),
+        (_set(("search", "max_steps"), True), "search.max_steps: must be a positive integer"),
+        (_set(("search", "size_bound"), True), "search.size_bound: must be a positive integer"),
+        (_set(("dimension",), False), "dimension: must be a nonnegative integer"),
+        (_set(("schema_version",), True), "schema_version: unsupported version True"),
+        (_set(("reflection",), {"target": "X", "stages": True}), "reflection.stages: must be a positive integer"),
+        (_set(("world", "true_purposes", "pX"), {"kind": "measure_spacetime", "figures": True}), "world.true_purposes.pX: bad purpose fields: figures must be an integer, not True"),
         (None, "error file-unreadable:"),
     ],
 )

@@ -336,32 +336,32 @@ def test_step_bound_applies_to_one_step_proofs(std_world, std_cost):
 _CHAIN = "KEMVBCRD"
 
 
-def chain_theory(energy):
+def chain_theory(energy, chain=_CHAIN, steps=15):
     """K and (K->E) ... (R->D): the proof of D has 15 steps and far more than
     5040 premise-respecting orders."""
     from resbound import DetermineTruth, Procedure, World
     from resbound.world import truth_output
 
-    alpha = Alphabet.from_string(_CHAIN + "()!&|->")
+    alpha = Alphabet.from_string(chain + "()!&|->")
     procs = {
         f"p{a}": Procedure(
             f"p{a}", frozenset(), Expression("", alpha), vec(0, 0, 0, 0),
             DetermineTruth(a), truth_output(a),
         )
-        for a in _CHAIN
+        for a in chain
     }
     world = World(
         dimension=1,
         alphabet=alpha,
         equipment={},
         procedures=procs,
-        ground_truth={a: True for a in _CHAIN},
+        ground_truth={a: True for a in chain},
         true_purposes={pid: p.declared_purpose for pid, p in procs.items()},
     )
     cost = CostParameters.uniform(4, delta=1, delta_e=Fraction(1, 100))
-    axioms = [_CHAIN[0]] + [f"({a}->{b})" for a, b in zip(_CHAIN, _CHAIN[1:])]
+    axioms = [chain[0]] + [f"({a}->{b})" for a, b in zip(chain, chain[1:])]
     budget = vec(1000, 1000, 1000, energy)
-    return build_theory(budget, tuple(AxiomCandidate(parse(t)) for t in axioms), world, cost, 15)
+    return build_theory(budget, tuple(AxiomCandidate(parse(t)) for t in axioms), world, cost, steps)
 
 
 @pytest.mark.parametrize("energy", [100000, Fraction(207, 2)], ids=["ample", "exact"])
@@ -420,10 +420,12 @@ def test_chosen_order_is_the_cheapest_of_all_orders(std_world, delta_e, axioms, 
 
 @pytest.fixture
 def fresh_searches(monkeypatch):
-    """An empty search memo, and a count of the searches run against it."""
+    """An empty search memo and saturation slot, and a count of the
+    saturations run against them."""
     import resbound.theory as theory_mod
 
     monkeypatch.setattr(theory_mod, "_search_memo", {})
+    monkeypatch.setattr(theory_mod, "_saturation", ((), {}))
     calls = []
     saturate = theory_mod._saturate
 
@@ -493,10 +495,33 @@ def test_standard_t0_after_t8_answers_as_alone(monkeypatch):
 
 
 def test_lattice_on_standard_runs_74_searches(tmp_path, fresh_searches):
+    import resbound.theory as theory_mod
     from resbound.cli import main
 
     code = main(
         ["--scenario", "fixtures/standard.scn", "--command", "lattice", "--out", str(tmp_path)]
     )
     assert code == 0
-    assert len(fresh_searches) == 74
+    # the memo also keeps the keys the entailment filter pruned
+    searched = [k for k in theory_mod._search_memo if theory_mod._entailed(k[0], k[1])]
+    assert len(searched) == 74
+    # two consecutive searches read the same pool and share one saturation
+    assert len(fresh_searches) == 73
+
+
+def test_goals_with_one_pool_share_a_saturation(monkeypatch, fresh_searches):
+    import resbound.theory as theory_mod
+
+    # E, M and V are subformulas of the axioms, so their pools are the axioms'
+    # pool; (K&V) adds itself and its negation to the pool
+    goals = [Atom("E"), Atom("M"), Atom("V"), parse("(K&V)")]
+    shared = [prove(chain_theory(100000, "KEMV", 7), g) for g in goals]
+    assert len(fresh_searches) == 2
+    alone = []
+    for g in goals:
+        monkeypatch.setattr(theory_mod, "_search_memo", {})
+        monkeypatch.setattr(theory_mod, "_saturation", ((), {}))
+        alone.append(prove(chain_theory(100000, "KEMV", 7), g))
+    assert len(fresh_searches) == 6
+    assert shared == alone
+    assert [p is not None for p in shared] == [True, True, True, False]
