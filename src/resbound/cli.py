@@ -35,6 +35,7 @@ from .statements import (
     non_closure_witness,
     render,
     rendered_length,
+    statement_sort_key,
 )
 from .theory import (
     ModusPonens,
@@ -44,7 +45,6 @@ from .theory import (
     check_proof,
     prove,
     soundness_check,
-    theorems_up_to,
 )
 
 COMMANDS = ("cost", "domain", "prove", "lattice", "observe", "reflect", "check")
@@ -66,13 +66,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _analysis_targets(scn: Scenario):
-    seen = []
-    for s in list(scn.statements) + [c.statement for c in scn.axiom_candidates] + list(
-        scn.prove_targets
-    ):
-        if s not in seen:
-            seen.append(s)
-    return sorted(seen, key=lambda s: (rendered_length(s), render(s)))
+    axioms = (c.statement for c in scn.axiom_candidates)
+    return sorted({*scn.statements, *axioms, *scn.prove_targets}, key=statement_sort_key)
 
 
 def cmd_cost(scn: Scenario, out: Path, args) -> int:
@@ -107,6 +102,15 @@ def cmd_cost(scn: Scenario, out: Path, args) -> int:
     return 0
 
 
+def _witness_payload(scn: Scenario) -> Optional[dict]:
+    witness = non_closure_witness(scn.domain_budget, scn.world)
+    return None if witness is None else {"s": render(witness[0]), "t": render(witness[1])}
+
+
+def _rejected_payload(theory) -> list[dict]:
+    return [{"statement": render(r.statement), "reason": r.reason} for r in theory.axioms.rejected]
+
+
 def cmd_domain(scn: Scenario, out: Path, args) -> int:
     budget = scn.domain_budget
     memberships = []
@@ -116,13 +120,10 @@ def cmd_domain(scn: Scenario, out: Path, args) -> int:
         if reason is not None:
             entry["reason"] = reason
         memberships.append(entry)
-    witness = non_closure_witness(budget, scn.world)
     payload = {
         "budget": budget.to_strings(),
         "memberships": memberships,
-        "non_closure_witness": None
-        if witness is None
-        else {"s": render(witness[0]), "t": render(witness[1])},
+        "non_closure_witness": _witness_payload(scn),
     }
     _write_json(out / "domain.json", payload)
     return 0
@@ -170,10 +171,7 @@ def cmd_prove(scn: Scenario, out: Path, args) -> int:
     payload = {
         "budget": scn.budget.to_strings(),
         "axioms_admitted": [render(a.statement) for a in theory.axioms.admitted],
-        "axioms_rejected": [
-            {"statement": render(r.statement), "reason": r.reason}
-            for r in theory.axioms.rejected
-        ],
+        "axioms_rejected": _rejected_payload(theory),
         "proofs": [_proof_payload(theory, s) for s in scn.prove_targets],
     }
     _write_json(out / "proofs.json", payload)
@@ -189,16 +187,16 @@ def cmd_lattice(scn: Scenario, out: Path, args) -> int:
         ["tail", "head"],
         [[_vec_str(a), _vec_str(b)] for a, b in edges],
     )
+    report = check_extension_monotonicity(grid, size_bound, args.max_steps)
     rows = []
     for p in grid.points:
         theory = grid.theory_at(p)
-        theorems = theorems_up_to(theory, size_bound, args.max_steps)
         rows.append(
             [
                 _vec_str(p),
                 str(theory.length_cap()),
                 str(len(theory.axioms.admitted)),
-                str(len(theorems)),
+                str(len(report.theorems[p])),
             ]
         )
     _write_csv(
@@ -216,7 +214,6 @@ def cmd_lattice(scn: Scenario, out: Path, args) -> int:
                 "expressible_points": [p.to_strings() for p in fa.expressible_points],
             }
         )
-    report = check_extension_monotonicity(grid, size_bound, args.max_steps)
     _write_json(
         out / "lattice.json",
         {
@@ -343,10 +340,7 @@ def cmd_check(scn: Scenario, out: Path, args) -> int:
     report["soundness"] = {
         "theorems_checked": sound.checked,
         "violations": [render(s) for s in sound.violations],
-        "rejected_axioms": [
-            {"statement": render(r.statement), "reason": r.reason}
-            for r in theory.axioms.rejected
-        ],
+        "rejected_axioms": _rejected_payload(theory),
     }
     failures += len(sound.violations)
 
@@ -396,10 +390,7 @@ def cmd_check(scn: Scenario, out: Path, args) -> int:
                 failures += len(problems)
     report["proof_recheck"] = proof_problems
 
-    witness = non_closure_witness(scn.domain_budget, scn.world)
-    report["non_closure_witness"] = (
-        None if witness is None else {"s": render(witness[0]), "t": render(witness[1])}
-    )
+    report["non_closure_witness"] = _witness_payload(scn)
 
     report["ok"] = failures == 0
     _write_json(out / "check_report.json", report)

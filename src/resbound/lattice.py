@@ -41,9 +41,6 @@ def classify_pair(r: ResourceVector, r_prime: ResourceVector) -> Quadrant:
 class TheoryGrid:
     points: tuple[ResourceVector, ...]
     theories: dict[ResourceVector, Theory]
-    world: World
-    candidates: tuple[AxiomCandidate, ...]
-    cost_params: CostParameters
 
     @classmethod
     def build(
@@ -59,7 +56,7 @@ class TheoryGrid:
             p: build_theory(p, candidates, world, cost_params, max_proof_steps, name=f"T{i}")
             for i, p in enumerate(distinct)
         }
-        return cls(tuple(distinct), theories, world, candidates, cost_params)
+        return cls(tuple(distinct), theories)
 
     def theory_at(self, point: ResourceVector) -> Theory:
         return self.theories[point]
@@ -104,8 +101,7 @@ def first_appearance_theorem(
     for p in grid.points:
         theory = grid.theory_at(p)
         cap = theory.length_cap()
-        expressible = cap is None or length <= cap
-        if expressible:
+        if cap is None or length <= cap:
             expressible_at.append(p)
             if is_theorem(theory, s, max_steps):
                 theorem_at.append(p)
@@ -117,6 +113,7 @@ def first_appearance_theorem(
 class MonotonicityReport:
     edges_checked: int
     violations: tuple[tuple[ResourceVector, ResourceVector, Statement], ...]
+    theorems: dict[ResourceVector, frozenset[Statement]]  # per grid point
 
     @property
     def ok(self) -> bool:
@@ -126,13 +123,15 @@ class MonotonicityReport:
 def check_extension_monotonicity(
     grid: TheoryGrid, size_bound: int, max_steps: Optional[int] = None
 ) -> MonotonicityReport:
-    """Exhaustively confirm theorems(tail) <= theorems(head) on every edge."""
+    """Exhaustively confirm theorems(tail) <= theorems(head) on every edge;
+    the report keeps each point's theorems for callers that need them."""
     edges = extension_edges(grid)
     theorem_sets = {
-        p: set(theorems_up_to(grid.theory_at(p), size_bound, max_steps)) for p in grid.points
+        p: frozenset(theorems_up_to(grid.theory_at(p), size_bound, max_steps))
+        for p in grid.points
     }
     violations = []
     for tail, head in edges:
         for s in sorted(theorem_sets[tail] - theorem_sets[head], key=rendered_length):
             violations.append((tail, head, s))
-    return MonotonicityReport(len(edges), tuple(violations))
+    return MonotonicityReport(len(edges), tuple(violations), theorem_sets)

@@ -11,7 +11,7 @@ discount, realized over time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import EmptyKnowledge, InsufficientResources
 from .resources import ResourceVector, pareto_min, sorted_vectors
@@ -52,7 +52,6 @@ class ObserverScript:
 class KnowledgeEntry:
     statement: Statement
     truth: bool
-    delta: ResourceVector
 
 
 @dataclass
@@ -103,10 +102,7 @@ def step(state: ObserverState, action: Action, world: World) -> StepRecord:
         if outcome is VerifyOutcome.INSUFFICIENT:
             text = "refused"
         else:
-            delta = state.ledger.spent.sub_saturating(before)
-            state.knowledge.append(
-                KnowledgeEntry(action.statement, outcome is VerifyOutcome.TRUE, delta)
-            )
+            state.knowledge.append(KnowledgeEntry(action.statement, outcome is VerifyOutcome.TRUE))
             text = outcome.value
     else:
         proc = world.procedure(action.procedure_id)
@@ -157,11 +153,11 @@ def run(script: ObserverScript, world: World) -> tuple[Trace, ObserverState]:
     return trace, state
 
 
-def locate_in_lattice(state: ObserverState, grid) -> tuple[ResourceVector, ...]:
+def locate_in_lattice(
+    state: ObserverState, points: Iterable[ResourceVector]
+) -> tuple[ResourceVector, ...]:
     """Minimal grid budgets whose theories can contain what the observer
-    spent; empty when the path escapes the grid.  Accepts a TheoryGrid or a
-    plain collection of budget vectors."""
-    points = grid.points if hasattr(grid, "points") else tuple(grid)
+    spent; empty when the path escapes the grid."""
     covering = [g for g in points if state.spent.leq(g)]
     if not covering:
         return ()

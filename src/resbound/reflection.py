@@ -144,7 +144,8 @@ class AblationResults:
     logic_alone_proves_val: bool
 
 
-def _ablation(step: ReflectionStep) -> AblationResults:
+def _ablation(step: ReflectionStep, full: bool) -> AblationResults:
+    """What parts of the extension prove; ``full``: whether all of it does."""
     theory = step.theory
     world = theory.world
     cp = theory.cost_params
@@ -158,7 +159,6 @@ def _ablation(step: ReflectionStep) -> AblationResults:
     )
     without_val = tuple(c for c in theory.candidates if c.statement != step.val_axiom)
 
-    full = is_theorem(theory, step.target)
     only = is_theorem(
         build_theory(budget, reflection_only, world, cp, steps, name="ablate-only"),
         step.target,
@@ -211,13 +211,14 @@ def reflection_chain(
         step = reflect_extend(
             current, current_target, current.budget.add(budget_step), budget_label=label
         )
+        proved = is_theorem(step.theory, step.target)
         report = StageReport(
             stage=stage,
             step=step,
-            target_proved_in_stage=is_theorem(step.theory, step.target),
+            target_proved_in_stage=proved,
             thm_atom_proved=is_theorem(step.theory, Atom(step.thm_atom_id)),
             val_proved=is_theorem(step.theory, step.val_axiom),
-            ablation=_ablation(step),
+            ablation=_ablation(step, proved),
         )
         stages.append(report)
         current = step.theory

@@ -241,6 +241,34 @@ def _parse_statement(
     return stmt
 
 
+def _statement_list(
+    doc: dict, section: str, alphabet: Alphabet, atoms: set[str], problems: _Problems
+) -> list[Statement]:
+    """The statements of an array-of-texts section; bad entries are reported
+    and skipped."""
+    out = []
+    for i, text_raw in enumerate(_array(doc.get(section), section, problems)):
+        stmt = _parse_statement(text_raw, alphabet, atoms, f"{section}[{i}]", problems)
+        if stmt is not None:
+            out.append(stmt)
+    return out
+
+
+def _add_decider(
+    procedures: dict[str, Procedure],
+    true_purposes: dict[str, Purpose],
+    p_id: str,
+    atom: str,
+    cost: ResourceVector,
+    alphabet: Alphabet,
+) -> None:
+    """Register a zero-equipment procedure that decides ``atom`` in truth."""
+    procedures[p_id] = Procedure(
+        p_id, frozenset(), Expression("", alphabet), cost, DetermineTruth(atom), truth_output(atom)
+    )
+    true_purposes[p_id] = DetermineTruth(atom)
+
+
 def loads(text: str) -> Scenario:
     problems = _Problems()
     try:
@@ -383,15 +411,7 @@ def loads(text: str) -> Scenario:
         if p_id in procedures:
             problems.add(path, f"procedure id {p_id!r} already taken")
             continue
-        procedures[p_id] = Procedure(
-            p_id,
-            frozenset(),
-            Expression("", alphabet),
-            ResourceVector.zeros(n),
-            DetermineTruth(atom),
-            truth_output(atom),
-        )
-        true_purposes[p_id] = DetermineTruth(atom)
+        _add_decider(procedures, true_purposes, p_id, atom, ResourceVector.zeros(n), alphabet)
 
     for path, claim_raw in _entries(w_raw.get("string_claims"), "world.string_claims", problems):
         atom = claim_raw.get("atom")
@@ -419,15 +439,7 @@ def loads(text: str) -> Scenario:
             continue
         ground_truth[atom] = truth
         atoms.add(atom)
-        procedures[p_id] = Procedure(
-            p_id,
-            frozenset(),
-            Expression("", alphabet),
-            cost,
-            DetermineTruth(atom),
-            truth_output(atom),
-        )
-        true_purposes[p_id] = DetermineTruth(atom)
+        _add_decider(procedures, true_purposes, p_id, atom, cost, alphabet)
 
     tp_raw = _object(w_raw.get("true_purposes"), "world.true_purposes", problems)
     for subject, purpose_raw in tp_raw.items():
@@ -487,16 +499,8 @@ def loads(text: str) -> Scenario:
         if v is not None:
             grid.append(v)
 
-    statements = []
-    for i, text_raw in enumerate(_array(doc.get("statements"), "statements", problems)):
-        stmt = _parse_statement(text_raw, alphabet, atoms, f"statements[{i}]", problems)
-        if stmt is not None:
-            statements.append(stmt)
-    prove_targets = []
-    for i, text_raw in enumerate(_array(doc.get("prove"), "prove", problems)):
-        stmt = _parse_statement(text_raw, alphabet, atoms, f"prove[{i}]", problems)
-        if stmt is not None:
-            prove_targets.append(stmt)
+    statements = _statement_list(doc, "statements", alphabet, atoms, problems)
+    prove_targets = _statement_list(doc, "prove", alphabet, atoms, problems)
 
     observers = []
     seen_names = set()

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .errors import NoStrategy, StatementSyntaxError, UncoveredAtom
 from .resources import ResourceVector, pareto_min, sorted_vectors
-from .world import DetermineTruth, Procedure, SpendLedger, World
+from .world import DetermineTruth, Procedure, SpendLedger, World, price
 
 
 # --- AST --------------------------------------------------------------------
@@ -309,19 +309,11 @@ def strategy_cost(s: Statement, strategy: VerificationStrategy, world: World) ->
     if not strategy.covers(needed):
         missing = sorted(set(needed) - {a for a, _ in strategy.assignments})
         raise UncoveredAtom(", ".join(missing))
-    n = 2 * world.dimension + 2
-    total = ResourceVector.zeros(n)
-    built: set[str] = set(strategy.prebuilt)
-    for atom_id in needed:
-        proc = world.procedure(strategy.procedure_for(atom_id))
+    procs = [world.procedure(strategy.procedure_for(atom_id)) for atom_id in needed]
+    for atom_id, proc in zip(needed, procs):
         if world.true_purposes.get(proc.id) != DetermineTruth(atom_id):
             raise NoStrategy(f"{proc.id} does not actually decide {atom_id}")
-        total = total.add(proc.implementation_cost)
-        for eq_id in sorted(proc.equipment_used):
-            if eq_id not in built:
-                total = total.add(world.equipment_item(eq_id).construction_cost)
-                built.add(eq_id)
-    return total
+    return price(world, procs, strategy.prebuilt)[0]
 
 
 def _covering_strategies(
@@ -400,26 +392,21 @@ def verify(
             strategies = _covering_strategies(s, world, prebuilt)
         except NoStrategy:
             return VerifyOutcome.INSUFFICIENT
-    admissible: list[tuple[tuple, VerificationStrategy, ResourceVector]] = []
+    admissible: list[tuple[tuple, VerificationStrategy]] = []
     for st in strategies:
         cost = strategy_cost(s, st, world)
         if budget is not None and not cost.leq(budget):
             continue
         if not ledger.can_spend(cost):
             continue
-        admissible.append(((cost.sort_key(), st.assignments), st, cost))
+        admissible.append(((cost.sort_key(), st.assignments), st))
     if not admissible:
         return VerifyOutcome.INSUFFICIENT
-    admissible.sort(key=lambda item: item[0])
-    _, chosen, cost = admissible[0]
-    valuation: dict[str, bool] = {}
+    chosen = min(admissible, key=lambda item: item[0])[1]
+    procs = {a: world.procedure(chosen.procedure_for(a)) for a in sorted(atoms_of(s))}
     loc = world.default_location()
-    fresh: set[str] = set()
-    for atom_id in atoms_of(s):
-        proc = world.procedure(chosen.procedure_for(atom_id))
-        valuation[atom_id] = proc.output_fn(world, loc) == "1"
-        fresh |= proc.equipment_used - ledger.built
-    ledger.commit(cost, fresh, f"verify:{render(s)}")
+    valuation = {a: proc.output_fn(world, loc) == "1" for a, proc in procs.items()}
+    ledger.charge(list(procs.values()), f"verify:{render(s)}")
     return VerifyOutcome.TRUE if evaluate(s, valuation) else VerifyOutcome.FALSE
 
 

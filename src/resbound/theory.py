@@ -22,7 +22,9 @@ longest instance any schema can form over the uncapped closure, where the
 cap prunes nothing.  Theories that agree on these inputs share one search
 (its entailment verdict and the goal's root derivation), so the grid points
 of a lattice whose theories admit the same axioms search once.  The budget
-enters only afterwards.
+enters only afterwards.  Nothing is kept per theory: a repeated request
+re-links its proof from the shared root, which costs one linearization, so
+callers hold on to the results they need instead of asking again.
 
 The saturation under modus ponens does not depend on the goal either: it
 derives every statement reachable from the axioms and the schema instances
@@ -46,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -254,7 +256,6 @@ class Theory:
     candidates: tuple[AxiomCandidate, ...] = ()
     max_proof_steps: int = 4
     name: str = "T"
-    _prove_cache: dict = field(default_factory=dict, repr=False)
 
     def length_cap(self) -> Optional[int]:
         return max_length(self.budget, self.cost_params)
@@ -644,9 +645,6 @@ def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> O
     if cap is not None and rendered_length(goal) > cap:
         raise StatementTooLong(render(goal))
     steps = theory.max_proof_steps if max_steps is None else max_steps
-    key = (goal, steps)
-    if key in theory._prove_cache:
-        return theory._prove_cache[key]
     axioms = tuple(a.statement for a in theory.axioms.admitted)
     closure = _closure(axioms, goal)
     search_cap = _effective_cap(closure, cap)
@@ -659,9 +657,7 @@ def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> O
             pool = _instantiation_pool(closure, search_cap)
             root = _saturated(axioms, pool, steps, search_cap).get(goal)
         _search_memo[search_key] = root
-    proof = _linearize(theory, root) if root is not None else None
-    theory._prove_cache[key] = proof
-    return proof
+    return _linearize(theory, root) if root is not None else None
 
 
 def is_theorem(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> bool:

@@ -1,16 +1,17 @@
 """Procedures, equipment, purposes, and the implementation operation.
 
 A world is the metatheory's ground truth: what each atomic claim's truth value
-is, and what every procedure and piece of equipment is actually for.  Spending
-is tracked by a ledger that charges equipment construction at most once, so
-conjunctions of verifications that share equipment cost less than the sum of
-their standalone costs.
+is, and what every procedure and piece of equipment is actually for.  One
+routine, ``price``, sums what running procedures costs: each implementation,
+plus construction of each piece of equipment not yet built, once.  Strategy
+costing and the spend ledger both call it, so conjunctions of verifications
+that share equipment cost less than the sum of their standalone costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
     InsufficientResources,
@@ -24,33 +25,29 @@ from .resources import ResourceVector
 
 # --- purposes -------------------------------------------------------------
 
+class _Figures:
+    """A purpose with an ``n_figures`` precision, which must be at least 1."""
+
+    def __post_init__(self):
+        if self.n_figures < 1:
+            raise ValueError("n_figures must be >= 1")
+
+
 @dataclass(frozen=True)
-class MeasureProperty:
+class MeasureProperty(_Figures):
     property_name: str
     n_figures: int
 
-    def __post_init__(self):
-        if self.n_figures < 1:
-            raise ValueError("n_figures must be >= 1")
-
 
 @dataclass(frozen=True)
-class ComputePrediction:
+class ComputePrediction(_Figures):
     property_name: str
     n_figures: int
 
-    def __post_init__(self):
-        if self.n_figures < 1:
-            raise ValueError("n_figures must be >= 1")
-
 
 @dataclass(frozen=True)
-class MeasureSpaceTime:
+class MeasureSpaceTime(_Figures):
     n_figures: int
-
-    def __post_init__(self):
-        if self.n_figures < 1:
-            raise ValueError("n_figures must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -200,6 +197,21 @@ def verifier_relation_is_acyclic(edges: Sequence[tuple[str, str]]) -> bool:
 
 # --- spending -------------------------------------------------------------
 
+def price(
+    world: World, procedures: Iterable[Procedure], built: AbstractSet[str]
+) -> tuple[ResourceVector, set[str]]:
+    """Implementation of each procedure plus construction, once, of the
+    equipment they use that is not in ``built``; and that new equipment."""
+    total = ResourceVector.zeros(2 * world.dimension + 2)
+    fresh: set[str] = set()
+    for proc in procedures:
+        total = total.add(proc.implementation_cost)
+        for eq_id in sorted(proc.equipment_used - built - fresh):
+            total = total.add(world.equipment_item(eq_id).construction_cost)
+            fresh.add(eq_id)
+    return total, fresh
+
+
 @dataclass
 class SpendLedger:
     """Single-owner record of resources spent against one world.
@@ -216,8 +228,7 @@ class SpendLedger:
 
     def __post_init__(self):
         if self.spent is None:
-            n = 2 * self.world.dimension + 2
-            self.spent = ResourceVector.zeros(n)
+            self.spent = ResourceVector.zeros(2 * self.world.dimension + 2)
 
     def remaining(self) -> Optional[ResourceVector]:
         if self.cap is None:
@@ -229,42 +240,22 @@ class SpendLedger:
             return True
         return self.spent.add(cost).leq(self.cap)
 
-    def preview_cost(
-        self, procedures: Sequence[Procedure], prebuilt: frozenset[str] = frozenset()
-    ) -> tuple[ResourceVector, set[str]]:
-        """Cost of implementing each procedure once, constructing any equipment
-        not already built.  No state change."""
-        total = ResourceVector.zeros(len(self.spent.components))
-        fresh: set[str] = set()
-        for proc in procedures:
-            total = total.add(proc.implementation_cost)
-            for eq_id in sorted(proc.equipment_used):
-                if eq_id in self.built or eq_id in prebuilt or eq_id in fresh:
-                    continue
-                total = total.add(self.world.equipment_item(eq_id).construction_cost)
-                fresh.add(eq_id)
-        return total, fresh
-
-    def commit(self, cost: ResourceVector, fresh: set[str], label: str) -> None:
+    def charge(self, procedures: Sequence[Procedure], label: str) -> ResourceVector:
+        """Run each procedure once and record the spend and the equipment
+        built; InsufficientResources leaves no trace."""
+        cost, fresh = price(self.world, procedures, self.built)
         if not self.can_spend(cost):
             raise InsufficientResources(label)
         self.spent = self.spent.add(cost)
         self.built |= fresh
         self.log.append((label, cost))
-
-    def charge(self, procedures: Sequence[Procedure], label: str) -> ResourceVector:
-        """Atomically cost and commit; InsufficientResources leaves no trace."""
-        cost, fresh = self.preview_cost(procedures)
-        if not self.can_spend(cost):
-            raise InsufficientResources(label)
-        self.commit(cost, fresh, label)
         return cost
 
 
 def procedure_cost(proc: Procedure, ledger: SpendLedger) -> ResourceVector:
     """Implementation cost plus construction of not-yet-built equipment; the
     equipment is marked built so repeat calls charge implementation only."""
-    cost, fresh = ledger.preview_cost([proc])
+    cost, fresh = price(ledger.world, [proc], ledger.built)
     ledger.built |= fresh
     return cost
 

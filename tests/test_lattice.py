@@ -153,3 +153,39 @@ def test_theorem_monotonicity_along_edges(flat_cost):
     small = set(theorems_up_to(grid.theory_at(vec(5, 5, 5, 5)), 6))
     big = set(theorems_up_to(grid.theory_at(vec(90, 90, 90, 90)), 6))
     assert small < big
+
+
+def test_monotonicity_report_keeps_each_points_theorems(flat_cost):
+    from tests_support_random_world import random_truth_world
+
+    world = random_truth_world((True, True), names=("A", "B"))
+    grid = grid_over(world, flat_cost, (vec(5, 5, 5, 5), vec(90, 90, 90, 90)))
+    report = check_extension_monotonicity(grid, size_bound=5)
+    assert set(report.theorems) == set(grid.points)
+    for p in grid.points:
+        assert report.theorems[p] == frozenset(theorems_up_to(grid.theory_at(p), 5))
+
+
+def test_lattice_on_standard_builds_each_theorem_set_once(tmp_path, monkeypatch):
+    import resbound
+    from resbound import cli, lattice
+    from resbound import theory as theory_mod
+
+    budgets = []
+    original = theory_mod.theorems_up_to
+
+    def counted(theory, *args, **kwargs):
+        budgets.append(theory.budget)
+        return original(theory, *args, **kwargs)
+
+    for module in (resbound, theory_mod, lattice, cli):
+        if hasattr(module, "theorems_up_to"):
+            monkeypatch.setattr(module, "theorems_up_to", counted)
+    code = cli.main(
+        ["--scenario", "fixtures/standard.scn", "--command", "lattice", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    # one theorem set per grid point, read by both the monotonicity check and
+    # the theorem counts in lattice_points.csv
+    assert len(budgets) == 9
+    assert len(set(budgets)) == 9

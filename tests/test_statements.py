@@ -356,6 +356,34 @@ def test_verify_matches_ground_truth_when_affordable(s):
     assert out is (VerifyOutcome.TRUE if expected else VerifyOutcome.FALSE)
 
 
+@given(
+    statements_over("ABCD"),
+    st.sets(st.sampled_from(["scope", "bench"])),
+    st.sampled_from([None, vec(3, 3, 2, 2), vec(4, 5, 2, 2), vec(9, 9, 9, 9)]),
+)
+@settings(max_examples=80, deadline=None)
+def test_verify_charges_least_admissible_cost_and_builds_what_it_used(s, prebuilt, budget):
+    world = test_verify_charges_least_admissible_cost_and_builds_what_it_used.world
+    ledger = SpendLedger(world, built=set(prebuilt))
+    needed = sorted(atoms_of(s))
+    admissible = []
+    for combo in itertools.product(*(world.verifiers_for(a) for a in needed)):
+        strategy = VerificationStrategy.of(dict(zip(needed, combo)), prebuilt)
+        cost = strategy_cost(s, strategy, world)
+        if budget is None or cost.leq(budget):
+            admissible.append(((cost.sort_key(), strategy.assignments), cost, strategy))
+    out = verify(s, budget, world, ledger)
+    if not admissible:
+        assert out is VerifyOutcome.INSUFFICIENT
+        assert ledger.spent.is_zero() and ledger.built == set(prebuilt)
+        return
+    _, cost, chosen = min(admissible, key=lambda item: item[0])
+    assert out is not VerifyOutcome.INSUFFICIENT
+    assert ledger.spent == cost
+    used = set().union(*(world.procedure(p).equipment_used for _, p in chosen.assignments))
+    assert ledger.built == set(prebuilt) | used
+
+
 @pytest.fixture(autouse=True)
 def _attach_world(std_world):
     for fn in (
@@ -363,6 +391,7 @@ def _attach_world(std_world):
         test_negation_frontier_equality,
         test_conjunction_disjunction_bounds,
         test_verify_matches_ground_truth_when_affordable,
+        test_verify_charges_least_admissible_cost_and_builds_what_it_used,
     ):
         fn.world = std_world
 
