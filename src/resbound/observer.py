@@ -142,15 +142,12 @@ def knowledge_statement(state: ObserverState) -> Statement:
 class Trace:
     script: str
     records: tuple[StepRecord, ...]
-    final_spent: ResourceVector
-    knowledge_size: int
 
 
 def run(script: ObserverScript, world: World) -> tuple[Trace, ObserverState]:
     state = ObserverState.fresh(world, script.budget_cap)
     records = [step(state, action, world) for action in script.actions]
-    trace = Trace(script.name, tuple(records), state.spent, len(state.knowledge))
-    return trace, state
+    return Trace(script.name, tuple(records)), state
 
 
 def locate_in_lattice(

@@ -504,6 +504,11 @@ def loads(text: str) -> Scenario:
 
     observers = []
     seen_names = set()
+    spacetimes = {
+        p_id
+        for p_id, proc in procedures.items()
+        if isinstance(proc.declared_purpose, MeasureSpaceTime)
+    }
     for i, (path, ob_raw) in enumerate(_entries(doc.get("observers"), "observers", problems)):
         name = ob_raw.get("name", f"observer{i}")
         if not isinstance(name, str):
@@ -530,6 +535,10 @@ def loads(text: str) -> Scenario:
                             problems.add(a_path, f"unknown procedure {proc_id!r} in strategy")
                         pairs.append((str(atom_id), str(proc_id)))
                     hint = tuple(pairs)
+                    covered = {atom_id for atom_id, _ in pairs}
+                    missing = [] if stmt is None else sorted(atoms_of(stmt) - covered)
+                    if missing:
+                        problems.add(a_path, f"strategy does not cover atoms {', '.join(missing)}")
                 if stmt is not None:
                     actions.append(VerifyStatement(stmt, hint))
             elif "implement" in act_raw:
@@ -541,8 +550,12 @@ def loads(text: str) -> Scenario:
                     problems.add(f"{a_path}.at", "expected an array")
                     coords = []
                 st_id = act_raw.get("spacetime")
-                if st_id is not None and (not isinstance(st_id, str) or st_id not in procedures):
+                if st_id is None and not spacetimes:
+                    problems.add(a_path, "no space-time procedure declared in world")
+                elif st_id is not None and (not isinstance(st_id, str) or st_id not in procedures):
                     problems.add(a_path, f"unknown space-time procedure {st_id!r}")
+                elif st_id is not None and st_id not in spacetimes:
+                    problems.add(a_path, f"{st_id!r} is not declared as a space-time measurement")
                 actions.append(
                     ImplementProcedure(str(proc_id), Location(tuple(str(c) for c in coords)), st_id)
                 )

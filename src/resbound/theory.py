@@ -16,24 +16,24 @@ admitted axioms and the goal, plus the negations of those subformulas,
 capped at N(r).  The search is exhaustive within the configured step bound;
 a missing proof means no proof exists within those bounds and the budget.
 
-A search reads only the admitted axiom statements (in order), the goal, the
-step bound and an effective cap: N(r), or unbounded once N(r) reaches the
-longest instance any schema can form over the uncapped closure, where the
-cap prunes nothing.  Theories that agree on these inputs share one search
-(its entailment verdict and the goal's root derivation), so the grid points
-of a lattice whose theories admit the same axioms search once.  The budget
-enters only afterwards.  Nothing is kept per theory: a repeated request
-re-links its proof from the shared root, which costs one linearization, so
-callers hold on to the results they need instead of asking again.
-
-The saturation under modus ponens does not depend on the goal either: it
-derives every statement reachable from the axioms and the schema instances
-over the instantiation pool, and a search reads one entry of it.  Goals with
-the same axioms, pool, step bound and effective cap therefore share one
-saturation, such as the links of a chain, which are subformulas of its axioms.
-Only the most recent saturation is kept, in one slot, because each can hold
-tens of thousands of derivations and the goals that share one arrive one after
-another.
+A search reads only the admitted axiom statements (in order), the step
+bound, an effective cap and the goal's instantiation pool.  The effective cap
+is N(r), or unbounded once N(r) reaches the longest instance any schema can
+form over the uncapped closure, where the cap prunes nothing.  The saturation
+under modus ponens reads the same inputs and not the goal: it derives every
+statement reachable from the axioms and the schema instances over the pool.
+One cache, keyed on those inputs, therefore serves every goal and every
+theory that agree on them, such as the links of a chain, which are
+subformulas of its axioms, or the grid points of a lattice whose theories
+admit the same axioms.  It keeps only the pool's entries of each saturation:
+a search reads the entry of its goal, and every goal lies in its own pool,
+being in its closure and no longer than N(r).  A goal the axioms do not
+entail has no entry, since modus ponens over tautologies and the axioms
+derives only what they entail; such a goal is refused before any saturation
+is built for it.  The budget enters only afterwards.  Nothing is kept per
+theory: a repeated request re-links its proof from the shared root, which
+costs one linearization, so callers hold on to the results they need instead
+of asking again.
 
 Linearization is exact: among the orders that put premises before conclusions
 and the goal last, it takes the one with the least maintenance energy, the
@@ -196,12 +196,6 @@ class AxiomCandidate:
 
 
 @dataclass(frozen=True)
-class AdmittedAxiom:
-    statement: Statement
-    justification: str
-
-
-@dataclass(frozen=True)
 class RejectedAxiom:
     statement: Statement
     justification: str
@@ -210,7 +204,7 @@ class RejectedAxiom:
 
 @dataclass(frozen=True)
 class AxiomSet:
-    admitted: tuple[AdmittedAxiom, ...]
+    admitted: tuple[AxiomCandidate, ...]
     rejected: tuple[RejectedAxiom, ...] = ()
 
 
@@ -228,7 +222,7 @@ def admit_axioms(
     which is exactly the hole negative-control scenarios poke at.
     """
     cap = max_length(budget, cost_params)
-    admitted: list[AdmittedAxiom] = []
+    admitted: list[AxiomCandidate] = []
     rejected: list[RejectedAxiom] = []
     for cand in candidates:
         length = rendered_length(cand.statement)
@@ -243,7 +237,7 @@ def admit_axioms(
         ):
             rejected.append(RejectedAxiom(cand.statement, cand.justification, "false-in-world"))
             continue
-        admitted.append(AdmittedAxiom(cand.statement, cand.justification))
+        admitted.append(cand)
     return AxiomSet(tuple(admitted), tuple(rejected))
 
 
@@ -618,25 +612,10 @@ def _effective_cap(closure: set[Statement], cap: Optional[int]) -> Optional[int]
     return None if cap >= widest else cap
 
 
-# searches shared by every theory with the same admitted axioms: the key is
-# (axiom statements, goal, step bound, effective cap), the value the goal's
-# root derivation or None
-_search_memo: dict[tuple, Optional[_Derivation]] = {}
-
-# the most recent saturation, shared by consecutive goals with the same pool:
-# ((axiom statements, pool, step bound, effective cap), best derivation map)
-_saturation: tuple[tuple, dict[Statement, _Derivation]] = ((), {})
-
-
-def _saturated(
-    axioms: tuple[Statement, ...], pool: list[Statement], steps: int, cap: Optional[int]
-) -> dict[Statement, _Derivation]:
-    global _saturation
-    key = (axioms, tuple(pool), steps, cap)
-    if _saturation[0] != key:
-        _saturation = ((), {})  # free the old map before building the new one
-        _saturation = (key, _saturate(_base_derivations(axioms, pool, cap), steps))
-    return _saturation[1]
+# saturations shared by every goal and theory that read the same inputs: the
+# key is (axiom statements, pool, step bound, effective cap), the value the
+# best derivation of each pool statement that the saturation reaches
+_saturations: dict[tuple, dict[Statement, _Derivation]] = {}
 
 
 def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> Optional[Proof]:
@@ -648,15 +627,14 @@ def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> O
     axioms = tuple(a.statement for a in theory.axioms.admitted)
     closure = _closure(axioms, goal)
     search_cap = _effective_cap(closure, cap)
-    search_key = (axioms, goal, steps, search_cap)
-    if search_key in _search_memo:
-        root = _search_memo[search_key]
-    else:
-        root = None
-        if _entailed(axioms, goal):
-            pool = _instantiation_pool(closure, search_cap)
-            root = _saturated(axioms, pool, steps, search_cap).get(goal)
-        _search_memo[search_key] = root
+    pool = _instantiation_pool(closure, search_cap)
+    key = (axioms, tuple(pool), steps, search_cap)
+    if key not in _saturations:
+        if not _entailed(axioms, goal):
+            return None
+        best = _saturate(_base_derivations(axioms, pool, search_cap), steps)
+        _saturations[key] = {s: best[s] for s in pool if s in best}
+    root = _saturations[key].get(goal)
     return _linearize(theory, root) if root is not None else None
 
 

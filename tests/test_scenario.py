@@ -163,6 +163,9 @@ def _set(path, value):
 
 _VERIFY_X = {"name": "o", "actions": [{"verify": "X", "strategy": "pX"}]}
 _IMPLEMENT_AT_3 = {"name": "o", "actions": [{"implement": "pX", "at": 3}]}
+_VERIFY_UNCOVERED = {"name": "o", "actions": [{"verify": "X", "strategy": {}}]}
+_IMPLEMENT_ON_PX = {"name": "o", "actions": [{"implement": "pX", "spacetime": "pX"}]}
+_IMPLEMENT_NOWHERE = {"name": "o", "actions": [{"implement": "pX"}]}
 
 
 @pytest.mark.parametrize(
@@ -198,6 +201,9 @@ _IMPLEMENT_AT_3 = {"name": "o", "actions": [{"implement": "pX", "at": 3}]}
         (_set(("schema_version",), True), "schema_version: unsupported version True"),
         (_set(("reflection",), {"target": "X", "stages": True}), "reflection.stages: must be a positive integer"),
         (_set(("world", "true_purposes", "pX"), {"kind": "measure_spacetime", "figures": True}), "world.true_purposes.pX: bad purpose fields: figures must be an integer, not True"),
+        (_set(("observers",), [_VERIFY_UNCOVERED]), "observers[0].actions[0]: strategy does not cover atoms X"),
+        (_set(("observers",), [_IMPLEMENT_ON_PX]), "observers[0].actions[0]: 'pX' is not declared as a space-time measurement"),
+        (_set(("observers",), [_IMPLEMENT_NOWHERE]), "observers[0].actions[0]: no space-time procedure declared in world"),
         (None, "error file-unreadable:"),
     ],
 )

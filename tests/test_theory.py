@@ -420,12 +420,11 @@ def test_chosen_order_is_the_cheapest_of_all_orders(std_world, delta_e, axioms, 
 
 @pytest.fixture
 def fresh_searches(monkeypatch):
-    """An empty search memo and saturation slot, and a count of the
-    saturations run against them."""
+    """An empty saturation cache, and a count of the saturations run
+    against it."""
     import resbound.theory as theory_mod
 
-    monkeypatch.setattr(theory_mod, "_search_memo", {})
-    monkeypatch.setattr(theory_mod, "_saturation", ((), {}))
+    monkeypatch.setattr(theory_mod, "_saturations", {})
     calls = []
     saturate = theory_mod._saturate
 
@@ -481,20 +480,20 @@ def test_standard_t0_after_t8_answers_as_alone(monkeypatch):
         grid = load("fixtures/standard.scn").theory_grid()
         return grid.theory_at(grid.points[0]), grid.theory_at(grid.points[-1])
 
-    monkeypatch.setattr(theory_mod, "_search_memo", {})
+    monkeypatch.setattr(theory_mod, "_saturations", {})
     t0, _ = grid_ends()
     assert t0.length_cap() == 3
     goals = list(enumerate_statements(t0.world.atoms(), 3))
     alone = _answers(t0, goals)
 
-    monkeypatch.setattr(theory_mod, "_search_memo", {})
+    monkeypatch.setattr(theory_mod, "_saturations", {})
     t0, t8 = grid_ends()
     _answers(t8, goals)
     assert _answers(t0, goals) == alone
     assert ("A", True) in alone
 
 
-def test_lattice_on_standard_runs_74_searches(tmp_path, fresh_searches):
+def test_lattice_on_standard_runs_72_saturations(tmp_path, fresh_searches):
     import resbound.theory as theory_mod
     from resbound.cli import main
 
@@ -502,11 +501,9 @@ def test_lattice_on_standard_runs_74_searches(tmp_path, fresh_searches):
         ["--scenario", "fixtures/standard.scn", "--command", "lattice", "--out", str(tmp_path)]
     )
     assert code == 0
-    # the memo also keeps the keys the entailment filter pruned
-    searched = [k for k in theory_mod._search_memo if theory_mod._entailed(k[0], k[1])]
-    assert len(searched) == 74
-    # two consecutive searches read the same pool and share one saturation
-    assert len(fresh_searches) == 73
+    # the six grid points that admit the same axioms share every saturation
+    assert len(fresh_searches) == 72
+    assert len(theory_mod._saturations) == 72
 
 
 def test_goals_with_one_pool_share_a_saturation(monkeypatch, fresh_searches):
@@ -519,9 +516,17 @@ def test_goals_with_one_pool_share_a_saturation(monkeypatch, fresh_searches):
     assert len(fresh_searches) == 2
     alone = []
     for g in goals:
-        monkeypatch.setattr(theory_mod, "_search_memo", {})
-        monkeypatch.setattr(theory_mod, "_saturation", ((), {}))
+        monkeypatch.setattr(theory_mod, "_saturations", {})
         alone.append(prove(chain_theory(100000, "KEMV", 7), g))
     assert len(fresh_searches) == 6
     assert shared == alone
     assert [p is not None for p in shared] == [True, True, True, False]
+
+
+def test_goals_between_others_of_their_pool_reuse_its_saturation(fresh_searches):
+    # (K&V) has a pool of its own and comes between E and M, which share the
+    # axioms' pool: the saturation E ran is still there when M asks for it
+    theory = chain_theory(100000, "KEMV", 7)
+    proofs = [prove(theory, g) for g in (Atom("E"), parse("(K&V)"), Atom("M"))]
+    assert [p is not None for p in proofs] == [True, False, True]
+    assert len(fresh_searches) == 2
