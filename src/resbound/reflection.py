@@ -24,6 +24,7 @@ from .theory import (
     AxiomCandidate,
     GodelMap,
     Justification,
+    Proof,
     Theory,
     build_theory,
     is_theorem,
@@ -72,7 +73,17 @@ def reflect_extend(
             f"extension budget {extended_budget} does not strictly dominate {base.budget}"
         )
     label = budget_label if budget_label is not None else base.name
-    proof = prove(base, target)
+    return _extend(base, target, prove(base, target), extended_budget, label)
+
+
+def _extend(
+    base: Theory,
+    target: Statement,
+    proof: Optional[Proof],
+    extended_budget: ResourceVector,
+    label: str,
+) -> ReflectionStep:
+    """``reflect_extend`` once the base's proof of the target, or None, is known."""
     proved = proof is not None
     code = statement_code(target, base.world)
     thm_id = provability_atom_id(label, code)
@@ -208,16 +219,21 @@ def reflection_chain(
     current_target = target
     for stage in range(1, n_stages + 1):
         label = f"{base.name}r{stage - 1}"
-        step = reflect_extend(
-            current, current_target, current.budget.add(budget_step), budget_label=label
-        )
+        extended = current.budget.add(budget_step)
+        if stage == 1:
+            step = reflect_extend(current, current_target, extended, budget_label=label)
+        else:
+            # the first stage found budget_step nonzero, so this budget is
+            # larger too, and the previous stage just proved this target
+            step = _extend(current, current_target, val_proof, extended, label)
         proved = is_theorem(step.theory, step.target)
+        val_proof = prove(step.theory, step.val_axiom)
         report = StageReport(
             stage=stage,
             step=step,
             target_proved_in_stage=proved,
             thm_atom_proved=is_theorem(step.theory, Atom(step.thm_atom_id)),
-            val_proved=is_theorem(step.theory, step.val_axiom),
+            val_proved=val_proof is not None,
             ablation=_ablation(step, proved),
         )
         stages.append(report)

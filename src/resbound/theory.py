@@ -35,6 +35,35 @@ theory: a repeated request re-links its proof from the shared root, which
 costs one linearization, so callers hold on to the results they need instead
 of asking again.
 
+A saturation builds only the schema instances that can change an entry of
+it.  An instance I = (X->Y) matters only if I is in the pool, if X can enter
+the saturation, or if an implication with antecedent I can.  What enters is
+entailed by the axioms, and it is an axiom, a schema instance over the pool,
+or what modus ponens leaves of one by stripping leading antecedents.  A truth
+vector per pool statement, the bitmask of the valuations that satisfy every
+axiom and make it true, decides entailment (inconsistent axioms entail
+everything, so then every instance is kept).  With P the pool, an instance
+is kept when:
+
+- weakening, contraposition: always (each weakening instance is the
+  antecedent of a distribution instance that is kept);
+- and-elim-left, and-elim-right: a and b are entailed, or (a&b) is in P;
+- and-intro, or-intro-left: a is entailed, or (a&b), resp. (a|b), is in P;
+- or-intro-right: b is entailed, or (a|b) is in P;
+- or-elim: (a->c) is entailed, or (a->c) and (b->c) are in P;
+- distribution: (a->b) and (a->c) are in P, or (a->(b->c)) is entailed and
+  (b->c) is in P, c is a or (a&b), or a is a binary connective.  These are
+  the ways (a->(b->c)) can enter: as weakening, as and-intro, as what is
+  left of a pool statement, an axiom (whose subformulas are in P) or a
+  weakening instance, or of an instance whose antecedent is compound.
+
+The answers do not change.  An instance left out would enter with one step
+and is never beaten; when taken off the queue it finds no antecedent for
+modus ponens, and nothing ever looks it up.  Dropping it therefore leaves
+every other entry, candidate and tie, and the queue order, as they were;
+should modus ponens derive it after all, it is just as inert, and it is not
+in the pool, whose entries are all that is kept.
+
 Linearization is exact: among the orders that put premises before conclusions
 and the goal last, it takes the one with the least maintenance energy, the
 only cost the order changes, and breaks ties by the smaller tuple of step
@@ -45,12 +74,13 @@ alphabet.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import MalformedCode, StatementTooLong
 from .expressions import Alphabet, CostParameters, Expression, expression_cost, max_length
@@ -423,9 +453,117 @@ def _schema_shape(template: Statement) -> tuple[int, dict[str, int]]:
 _SCHEMA_SHAPES = [_schema_shape(schema.template) for schema in SCHEMAS]
 
 
+def _constructor(schema: Schema):
+    """A function from the metavariables' values, in order, to the instance:
+    the template compiled once into nested constructor calls."""
+    params = {var: f"v{i}" for i, var in enumerate(schema.metavars)}
+
+    def source(t: Statement) -> str:
+        if isinstance(t, Atom):
+            return params[t.claim_id]
+        if isinstance(t, Not):
+            return f"Not({source(t.inner)})"
+        return f"{type(t).__name__}({source(t.left)}, {source(t.right)})"
+
+    scope = {"Not": Not, "And": And, "Or": Or, "Implies": Implies}
+    return eval(f"lambda {', '.join(params.values())}: {source(schema.template)}", scope)
+
+
+_CONSTRUCTORS = [_constructor(schema) for schema in SCHEMAS]
+
+
+def _truth_vectors(
+    axioms: tuple[Statement, ...], pool: list[Statement]
+) -> tuple[int, list[int]]:
+    """The truth vector of each pool statement: the bitmask of the valuations
+    of the atoms in play that satisfy every axiom and make it true.  Also the
+    vector of all those valuations, which an entailed statement has."""
+    names = sorted(set().union(*map(atoms_of, (*axioms, *pool))))
+    rows = 1 << len(names)
+    full = (1 << rows) - 1
+    vector = {
+        Atom(name): sum(1 << v for v in range(rows) if v >> i & 1)
+        for i, name in enumerate(names)
+    }
+
+    def of(s: Statement) -> int:
+        if s not in vector:
+            if isinstance(s, Not):
+                vector[s] = full ^ of(s.inner)
+            elif isinstance(s, And):
+                vector[s] = of(s.left) & of(s.right)
+            elif isinstance(s, Or):
+                vector[s] = of(s.left) | of(s.right)
+            else:
+                vector[s] = (full ^ of(s.left)) | of(s.right)
+        return vector[s]
+
+    everything = functools.reduce(int.__and__, map(of, axioms), full)
+    return everything, [of(s) & everything for s in pool]
+
+
+def _keep_rules(
+    pool: list[Statement], everything: int, vectors: list[int]
+) -> dict[str, Callable[..., int]]:
+    """Per schema name, a function from the pool indices of every metavariable
+    but the last to the bitmask of pool indices the last may take: the
+    instances that can change an entry of the saturation."""
+    n = len(pool)
+    anything = (1 << n) - 1
+    index = {s: i for i, s in enumerate(pool)}
+    # parts[kind][i] has bit j when kind(pool[i], pool[j]) is in the pool
+    parts: dict[type, list[int]] = {And: [0] * n, Or: [0] * n, Implies: [0] * n}
+    conj_at: dict[tuple[int, int], int] = {}
+    compound = 0
+    for k, s in enumerate(pool):
+        if isinstance(s, (And, Or, Implies)):
+            i, j = index[s.left], index[s.right]
+            parts[type(s)][i] |= 1 << j
+            compound |= 1 << k
+            if isinstance(s, And):
+                conj_at[i, j] = k
+    conj, disj, impl = parts[And], parts[Or], parts[Implies]
+
+    @functools.cache
+    def implied_by(w: int) -> int:
+        """The pool statements true in every valuation of ``w``."""
+        return sum(1 << i for i, v in enumerate(vectors) if w & ~v == 0)
+
+    entailed = implied_by(everything)
+
+    def distribution(a: int, b: int) -> int:
+        both = impl[a] if impl[a] >> b & 1 else 0
+        can_enter = anything if compound >> a & 1 else (
+            impl[b] | 1 << a | (1 << conj_at[a, b] if (a, b) in conj_at else 0)
+        )
+        return both | implied_by(vectors[a] & vectors[b]) & can_enter
+
+    def and_elim(a: int) -> int:
+        return (entailed if entailed >> a & 1 else 0) | conj[a]
+
+    return {
+        "weakening": lambda a: anything,
+        "distribution": distribution,
+        "contraposition": lambda a: anything,
+        "and-elim-left": and_elim,
+        "and-elim-right": and_elim,
+        "and-intro": lambda a: anything if entailed >> a & 1 else conj[a],
+        "or-intro-left": lambda a: anything if entailed >> a & 1 else disj[a],
+        "or-intro-right": lambda a: entailed | disj[a],
+        "or-elim": lambda a, b: implied_by(vectors[a]) | impl[a] & impl[b],
+    }
+
+
 def _base_derivations(
-    axioms: tuple[Statement, ...], pool: list[Statement], cap: Optional[int]
+    axioms: tuple[Statement, ...],
+    pool: list[Statement],
+    cap: Optional[int],
+    everything: int,
+    vectors: list[int],
 ) -> list[_Derivation]:
+    """The axioms, then the kept schema instances over the pool that fit the
+    cap, in itertools.product order per schema; a statement met again is
+    skipped."""
     out: list[_Derivation] = []
     seen: set[Statement] = set()
     for idx, ax in enumerate(axioms):
@@ -437,36 +575,36 @@ def _base_derivations(
                 ax, "axiom", (1, rendered_length(ax)), axiom_index=idx, nodes=frozenset({ax})
             )
         )
-    pool_lens = [rendered_length(p) for p in pool]
-    longest = max(pool_lens, default=0)
-    for schema in SCHEMAS:
+    lens = [rendered_length(p) for p in pool]
+    rules = _keep_rules(pool, everything, vectors)
+    for schema, build in zip(SCHEMAS, _CONSTRUCTORS):
         const, coeff_map = _SCHEMA_SHAPES[schema.index]
-        coeffs = [coeff_map[v] for v in schema.metavars]
-        arity = len(schema.metavars)
-        worst = const + longest * sum(coeffs)
-        if cap is not None and worst > cap:
-            combos = (
-                tuple(pool[i] for i in combo_idx)
-                for combo_idx in itertools.product(range(len(pool)), repeat=arity)
-                if const + sum(c * pool_lens[i] for c, i in zip(coeffs, combo_idx)) <= cap
-            )
-        else:
-            combos = itertools.product(pool, repeat=arity)
-        for combo in combos:
-            inst = substitute(schema.template, dict(zip(schema.metavars, combo)))
-            if inst in seen:
-                continue
-            seen.add(inst)
-            out.append(
-                _Derivation(
-                    inst,
-                    "schema",
-                    (1, rendered_length(inst)),
-                    schema_index=schema.index,
-                    values=combo,
-                    nodes=frozenset({inst}),
+        *head, last = [coeff_map[v] for v in schema.metavars]
+        keep = rules[schema.name]
+        for prefix in itertools.product(range(len(pool)), repeat=len(head)):
+            allowed = keep(*prefix)
+            if cap is not None:
+                room = cap - const - sum(c * lens[i] for c, i in zip(head, prefix))
+                allowed &= (1 << bisect.bisect_right(lens, room // last)) - 1
+            values = tuple(pool[i] for i in prefix)
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                combo = (*values, pool[low.bit_length() - 1])
+                inst = build(*combo)
+                if inst in seen:
+                    continue
+                seen.add(inst)
+                out.append(
+                    _Derivation(
+                        inst,
+                        "schema",
+                        (1, rendered_length(inst)),
+                        schema_index=schema.index,
+                        values=combo,
+                        nodes=frozenset({inst}),
+                    )
                 )
-            )
     return out
 
 
@@ -588,20 +726,6 @@ def _linearize(theory: Theory, root: _Derivation) -> Optional[Proof]:
     return proof
 
 
-def _entailed(axiom_statements: tuple[Statement, ...], goal: Statement) -> bool:
-    """Classical entailment over the mentioned atoms.  The schemas are all
-    tautologies and modus ponens preserves truth, so anything not entailed is
-    unprovable; this prunes hopeless searches exactly."""
-    names = sorted(atoms_of(goal).union(*(atoms_of(a) for a in axiom_statements)))
-    for bits in itertools.product((False, True), repeat=len(names)):
-        valuation = dict(zip(names, bits))
-        if all(evaluate(a, valuation) for a in axiom_statements) and not evaluate(
-            goal, valuation
-        ):
-            return False
-    return True
-
-
 def _effective_cap(closure: set[Statement], cap: Optional[int]) -> Optional[int]:
     """N(r), or None when N(r) is at least the longest instance any schema can
     form over the unfiltered pool: then the cap prunes nothing."""
@@ -630,9 +754,11 @@ def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> O
     pool = _instantiation_pool(closure, search_cap)
     key = (axioms, tuple(pool), steps, search_cap)
     if key not in _saturations:
-        if not _entailed(axioms, goal):
+        everything, vectors = _truth_vectors(axioms, pool)
+        if vectors[pool.index(goal)] != everything:
             return None
-        best = _saturate(_base_derivations(axioms, pool, search_cap), steps)
+        base = _base_derivations(axioms, pool, search_cap, everything, vectors)
+        best = _saturate(base, steps)
         _saturations[key] = {s: best[s] for s in pool if s in best}
     root = _saturations[key].get(goal)
     return _linearize(theory, root) if root is not None else None

@@ -188,3 +188,25 @@ def test_alphabet_must_cover_provability_atoms(flat_cost, tiny_world):
     theory = build_theory(vec(50, 50), (), tiny_world, CostParameters.uniform(2, delta=1))
     with pytest.raises(AxiomRejected):
         reflect_extend(theory, Atom("X"), vec(200, 200), "r0")
+
+
+def test_reflect_on_standard_links_each_proof_once(tmp_path, monkeypatch):
+    import resbound.theory as theory_mod
+    from resbound.cli import main
+
+    linked = []
+    linearize = theory_mod._linearize
+
+    def counted(theory, root):
+        linked.append((theory, root.statement))
+        return linearize(theory, root)
+
+    monkeypatch.setattr(theory_mod, "_linearize", counted)
+    code = main(
+        ["--scenario", "fixtures/standard.scn", "--command", "reflect", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    # each later stage takes the proof of its target from the stage before,
+    # which proved it as that stage's validity statement
+    assert len(linked) == 16
+    assert len(set(linked)) == len(linked)

@@ -16,6 +16,7 @@ from resbound import (
     Implies,
     Justification,
     Not,
+    Or,
     build_theory,
     check_proof,
     godel_decode,
@@ -420,8 +421,8 @@ def test_chosen_order_is_the_cheapest_of_all_orders(std_world, delta_e, axioms, 
 
 @pytest.fixture
 def fresh_searches(monkeypatch):
-    """An empty saturation cache, and a count of the saturations run
-    against it."""
+    """An empty saturation cache, and the size of the base of each saturation
+    run against it."""
     import resbound.theory as theory_mod
 
     monkeypatch.setattr(theory_mod, "_saturations", {})
@@ -429,7 +430,7 @@ def fresh_searches(monkeypatch):
     saturate = theory_mod._saturate
 
     def counted(base, max_steps):
-        calls.append(max_steps)
+        calls.append(len(base))
         return saturate(base, max_steps)
 
     monkeypatch.setattr(theory_mod, "_saturate", counted)
@@ -504,6 +505,9 @@ def test_lattice_on_standard_runs_72_saturations(tmp_path, fresh_searches):
     # the six grid points that admit the same axioms share every saturation
     assert len(fresh_searches) == 72
     assert len(theory_mod._saturations) == 72
+    # 142 axioms and 84,427 instances; the full product over each pool holds
+    # 165,124 instances
+    assert sum(fresh_searches) == 84569
 
 
 def test_goals_with_one_pool_share_a_saturation(monkeypatch, fresh_searches):
@@ -530,3 +534,142 @@ def test_goals_between_others_of_their_pool_reuse_its_saturation(fresh_searches)
     proofs = [prove(theory, g) for g in (Atom("E"), parse("(K&V)"), Atom("M"))]
     assert [p is not None for p in proofs] == [True, False, True]
     assert len(fresh_searches) == 2
+
+
+# --- schema instances the saturation can use ----------------------------------------
+
+def _full_product_base(axioms, pool, cap):
+    """The axioms, then every schema instance over the pool that fits the cap,
+    in itertools.product order per schema, first occurrence first."""
+    from resbound.theory import _Derivation
+
+    out, seen = [], set()
+    for idx, ax in enumerate(axioms):
+        if ax not in seen:
+            seen.add(ax)
+            out.append(_Derivation(ax, "axiom", (1, len(render(ax))), axiom_index=idx,
+                                   nodes=frozenset({ax})))
+    for schema in SCHEMAS:
+        for combo in itertools.product(pool, repeat=len(schema.metavars)):
+            inst = substitute(schema.template, dict(zip(schema.metavars, combo)))
+            if inst in seen or (cap is not None and len(render(inst)) > cap):
+                continue
+            seen.add(inst)
+            out.append(_Derivation(inst, "schema", (1, len(render(inst))),
+                                   schema_index=schema.index, values=combo,
+                                   nodes=frozenset({inst})))
+    return out
+
+
+def _pool_entries(best, pool):
+    """Each pool statement's key and chosen sub-DAG, step by step."""
+    from resbound.theory import _chosen_subdag
+
+    return {
+        s: (
+            best[s].key,
+            sorted(
+                (render(t), d.kind, d.schema_index, d.values, d.axiom_index,
+                 tuple(p.statement for p in d.premises))
+                for t, d in _chosen_subdag(best[s]).items()
+            ),
+        )
+        for s in pool
+        if s in best
+    }
+
+
+def _random_statement(rng, names, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return Atom(rng.choice(names))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Not(_random_statement(rng, names, depth - 1))
+    ctor = (And, Or, Implies)[kind - 1]
+    return ctor(_random_statement(rng, names, depth - 1), _random_statement(rng, names, depth - 1))
+
+
+def _random_theories(rng, count):
+    """(axioms, goal, N(r), step bound) of small theories; most goals that fit
+    N(r) are schema instances, which the pool then holds."""
+    for _ in range(count):
+        names = "ABCD"[: rng.randint(2, 4)]
+        cap = rng.choice([None, 9, 12, 15])
+        # admission keeps only axioms within N(r), and prove refuses longer goals
+        drawn = (_random_statement(rng, names, 2) for _ in range(rng.randint(0, 4)))
+        axioms = tuple(a for a in drawn if cap is None or len(render(a)) <= cap)
+        schema = rng.choice(SCHEMAS)
+        values = {v: _random_statement(rng, names, 1) for v in schema.metavars}
+        goal = substitute(schema.template, values)
+        if rng.random() < 0.5 or (cap is not None and len(render(goal)) > cap):
+            goal = _random_statement(rng, names, 2)
+        if cap is not None and len(render(goal)) > cap:
+            goal = Atom(names[0])
+        yield axioms, goal, cap, rng.randint(1, 7)
+
+
+def test_kept_instances_saturate_like_the_full_product():
+    import random
+
+    from resbound.theory import (
+        _base_derivations,
+        _closure,
+        _effective_cap,
+        _instantiation_pool,
+        _saturate,
+        _truth_vectors,
+    )
+
+    # every schema's instance over atoms as the goal of the empty theory: an
+    # instance in the pool is kept whether or not it can fire
+    atoms = {"?a": Atom("A"), "?b": Atom("B"), "?c": Atom("C")}
+    pool_instances = [((), substitute(schema.template, atoms), None, 1) for schema in SCHEMAS]
+    kept = full = 0
+    for axioms, goal, cap, steps in [*pool_instances, *_random_theories(random.Random(10), 40)]:
+        closure = _closure(axioms, goal)
+        search_cap = _effective_cap(closure, cap)
+        pool = _instantiation_pool(closure, search_cap)
+        base = _base_derivations(axioms, pool, search_cap, *_truth_vectors(axioms, pool))
+        reference = _full_product_base(axioms, pool, search_cap)
+        # the same derivations, in the same order, with some left out
+        steps_left = iter((d.statement, d.schema_index, d.values) for d in reference)
+        assert all((d.statement, d.schema_index, d.values) in steps_left for d in base)
+        assert _pool_entries(_saturate(base, steps), pool) == _pool_entries(
+            _saturate(reference, steps), pool
+        ), ([render(a) for a in axioms], render(goal), cap, steps)
+        kept += len(base)
+        full += len(reference)
+    assert kept < 0.6 * full
+
+
+def test_chain_base_leaves_out_what_cannot_fire(monkeypatch):
+    import resbound.theory as theory_mod
+
+    # the antecedent (K->(E->!M)) is false when every atom of the chain is
+    # true, the only valuation the axioms allow, so it never enters a
+    # saturation and neither does anything this instance could give
+    useless = parse("((K->(E->!M))->((K->E)->(K->!M)))")
+    theory = chain_theory(100000, "KEMV", 7)
+    goals = sorted(theory_mod._closure(tuple(a.statement for a in theory.axioms.admitted),
+                                       Atom("K")), key=render)
+    bases = {}
+
+    def recorded(name, build):
+        def wrapper(axioms, pool, cap, everything, vectors):
+            bases[name] = build(axioms, pool, cap, everything, vectors)
+            return bases[name]
+        return wrapper
+
+    proofs = {}
+    for name, build in [
+        ("kept", theory_mod._base_derivations),
+        ("full", lambda axioms, pool, cap, *_: _full_product_base(axioms, pool, cap)),
+    ]:
+        monkeypatch.setattr(theory_mod, "_saturations", {})
+        monkeypatch.setattr(theory_mod, "_base_derivations", recorded(name, build))
+        proofs[name] = [prove(theory, g) for g in goals]
+    assert useless in {d.statement for d in bases["full"]}
+    assert useless not in {d.statement for d in bases["kept"]}
+    assert len(bases["kept"]) < len(bases["full"])
+    assert proofs["kept"] == proofs["full"]
+    assert sum(p is not None for p in proofs["kept"]) == 7  # the axioms and E, M, V
