@@ -11,11 +11,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 from .errors import DimensionMismatch
 
 RationalLike = Union[int, str, Fraction]
+Vector = TypeVar("Vector")
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -128,20 +129,24 @@ def compare(a: ResourceVector, b: ResourceVector) -> OrderRelation:
     return OrderRelation.INCOMPARABLE
 
 
-def pareto_min(vectors: Iterable[ResourceVector]) -> frozenset[ResourceVector]:
-    """The antichain of non-dominated vectors; every input is >= some member."""
-    distinct = set(vectors)
-    if not distinct:
+def pareto_min(vectors: Iterable[Vector]) -> frozenset[Vector]:
+    """The antichain of non-dominated vectors; every input is >= some member.
+
+    Takes ResourceVectors or plain tuples of numbers.  A sorted scan (Kung,
+    Luccio & Preparata, JACM 1975): a vector can be strictly dominated only by
+    a lexicographically smaller one, and then also by a kept one, so in
+    ascending order each vector is kept unless a kept vector is <= it."""
+    by_comps = {v.components if isinstance(v, ResourceVector) else v: v for v in vectors}
+    if not by_comps:
         raise ValueError("pareto_min of empty set")
-    dims = {len(v.components) for v in distinct}
+    dims = {len(comps) for comps in by_comps}
     if len(dims) > 1:
         raise DimensionMismatch(f"mixed component counts {sorted(dims)}")
-    kept = {
-        v
-        for v in distinct
-        if not any(w.dominates(v) for w in distinct)
-    }
-    return frozenset(kept)
+    kept: list[tuple] = []
+    for comps in sorted(by_comps):
+        if not any(all(a <= b for a, b in zip(k, comps)) for k in kept):
+            kept.append(comps)
+    return frozenset(by_comps[comps] for comps in kept)
 
 
 def sorted_vectors(vectors: Iterable[ResourceVector]) -> list[ResourceVector]:

@@ -4,6 +4,25 @@ The cost of deciding a statement is not a single number: with vector budgets
 the cheapest verification strategies form a Pareto frontier, and a statement
 belongs to the budget-r domain exactly when some frontier point fits under r.
 
+A strategy picks one deciding procedure per atom; its cost is the
+implementations plus one construction of each piece of equipment not already
+built.  ``_frontier`` finds the frontier without enumerating the strategies,
+by a multi-criteria dynamic programme (Klamroth & Wiecek, Naval Res.
+Logistics 47, 2000).  It assigns the atoms in sorted order and keys each
+partial strategy on the equipment it has built so far.  Two partial
+strategies with the same key pay the same for any completion, so one that
+another strictly dominates can only complete to strictly dominated costs, and
+is dropped; ties are kept, so every strategy of each frontier cost is found.
+The keys are merged and filtered once more at the end.  The arithmetic runs
+on integer tuples scaled by the world's common denominator
+(``World.cost_tables``); only frontier points become Fractions again.
+
+``verify`` charges the lexicographically least cost that fits the budget and
+the ledger cap, and of its strategies the least assignment.  Both limits are
+closed downwards, so a cost strictly dominated by another fits whenever it
+does and is lexicographically greater: the least admissible cost is on the
+frontier taken with the ledger's equipment, and ``verify`` reads it there.
+
 Text grammar (used by scenario files and the CLI):
 
     statement := ATOM | '!' statement
@@ -21,12 +40,20 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import NoStrategy, StatementSyntaxError, UncoveredAtom
-from .resources import ResourceVector, pareto_min, sorted_vectors
+from .errors import (
+    DimensionMismatch,
+    NoStrategy,
+    StatementSyntaxError,
+    UncoveredAtom,
+    UnknownEquipment,
+)
+from .resources import ResourceVector, pareto_min
 from .world import DetermineTruth, Procedure, SpendLedger, World, price
 
 
@@ -316,34 +343,70 @@ def strategy_cost(s: Statement, strategy: VerificationStrategy, world: World) ->
     return price(world, procs, strategy.prebuilt)[0]
 
 
-def _covering_strategies(
-    s: Statement, world: World, prebuilt: frozenset[str] = frozenset()
-) -> list[VerificationStrategy]:
+def _plus(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.add, a, b))
+
+
+def _frontier(
+    s: Statement, world: World, prebuilt: frozenset[str]
+) -> list[tuple[ResourceVector, tuple[VerificationStrategy, ...]]]:
+    """Each Pareto-minimal cost of deciding ``s`` with ``prebuilt`` already
+    built, ascending, with every strategy of exactly that cost in assignment
+    order.  The dynamic programme is set out in the module docstring."""
     needed = sorted(atoms_of(s))
-    per_atom: list[list[str]] = []
+    options = []
     for atom_id in needed:
         procs = world.verifiers_for(atom_id)
         if not procs:
             raise NoStrategy(f"no procedure decides {atom_id}")
-        per_atom.append(procs)
-    out = []
-    for combo in itertools.product(*per_atom):
-        out.append(VerificationStrategy(tuple(zip(needed, combo)), prebuilt))
-    return out
+        options.append(procs)
+    tables = world.cost_tables
+    n = 2 * world.dimension + 2
+
+    def checked(part: tuple[int, ...]) -> tuple[int, ...]:
+        if len(part) != n:
+            raise DimensionMismatch(f"{n} vs {len(part)} components")
+        return part
+
+    # equipment built beyond prebuilt -> partial cost -> procedure ids so far
+    states = {frozenset(): {(0,) * n: [()]}}
+    for procs in options:
+        grown: dict = {}
+        for built, partials in states.items():
+            for pid in procs:
+                fresh = world.procedure(pid).equipment_used - prebuilt - built
+                step = checked(tables.implementation[pid])
+                for eq_id in sorted(fresh):
+                    if eq_id not in tables.construction:
+                        raise UnknownEquipment(eq_id)
+                    step = _plus(step, checked(tables.construction[eq_id]))
+                bucket = grown.setdefault(built | fresh, {})
+                for cost, picks in partials.items():
+                    bucket.setdefault(_plus(cost, step), []).extend(p + (pid,) for p in picks)
+        states = {
+            built: {cost: partials[cost] for cost in pareto_min(partials)}
+            for built, partials in grown.items()
+        }
+    merged: dict = {}
+    for partials in states.values():
+        for cost, picks in partials.items():
+            merged.setdefault(cost, []).extend(picks)
+    return [
+        (
+            ResourceVector(tuple(Fraction(c, tables.scale) for c in point)),
+            tuple(
+                VerificationStrategy(tuple(zip(needed, picks)), prebuilt)
+                for picks in sorted(merged[point])
+            ),
+        )
+        for point in sorted(pareto_min(merged))
+    ]
 
 
 def min_cost(s: Statement, world: World) -> CostResult:
     """Pareto frontier of verification costs over every covering strategy."""
-    strategies = _covering_strategies(s, world)
-    costs: dict[VerificationStrategy, ResourceVector] = {
-        st: strategy_cost(s, st, world) for st in strategies
-    }
-    frontier = sorted_vectors(pareto_min(costs.values()))
-    witnesses = []
-    for point in frontier:
-        ws = tuple(st for st in strategies if costs[st] == point)
-        witnesses.append((point, ws))
-    return CostResult(tuple(frontier), tuple(witnesses))
+    witnesses = tuple(_frontier(s, world, frozenset()))
+    return CostResult(tuple(point for point, _ in witnesses), witnesses)
 
 
 def in_domain(s: Statement, budget: ResourceVector, world: World) -> bool:
@@ -377,32 +440,31 @@ def verify(
 ) -> VerifyOutcome:
     """Decide ``s`` by actually running one admissible strategy.
 
-    The cheapest strategy that fits both ``budget`` (when given) and the
-    ledger cap is charged; a fixed ``strategy`` (atom -> procedure) is the
-    only one tried.  Prior construction recorded in the ledger makes later
+    The strategy with the lexicographically least cost that fits both
+    ``budget`` (when given) and the ledger cap is charged, ties going to the
+    least assignment; a fixed ``strategy`` (atom -> procedure) is the only
+    one tried.  Prior construction recorded in the ledger makes later
     verifications cheaper, and only the procedures deciding atoms of ``s``
     run and build equipment.  Truth comes from the chosen procedures'
     outputs, never from peeking at ground truth directly.
     """
     prebuilt = frozenset(ledger.built)
+
+    def admissible(cost: ResourceVector) -> bool:
+        return (budget is None or cost.leq(budget)) and ledger.can_spend(cost)
+
     if strategy is not None:
-        strategies = [VerificationStrategy.of(strategy, prebuilt)]
+        chosen = VerificationStrategy.of(strategy, prebuilt)
+        if not admissible(strategy_cost(s, chosen, world)):
+            return VerifyOutcome.INSUFFICIENT
     else:
         try:
-            strategies = _covering_strategies(s, world, prebuilt)
+            frontier = _frontier(s, world, prebuilt)
         except NoStrategy:
             return VerifyOutcome.INSUFFICIENT
-    admissible: list[tuple[tuple, VerificationStrategy]] = []
-    for st in strategies:
-        cost = strategy_cost(s, st, world)
-        if budget is not None and not cost.leq(budget):
-            continue
-        if not ledger.can_spend(cost):
-            continue
-        admissible.append(((cost.sort_key(), st.assignments), st))
-    if not admissible:
-        return VerifyOutcome.INSUFFICIENT
-    chosen = min(admissible, key=lambda item: item[0])[1]
+        chosen = next((ws[0] for point, ws in frontier if admissible(point)), None)
+        if chosen is None:
+            return VerifyOutcome.INSUFFICIENT
     procs = {a: world.procedure(chosen.procedure_for(a)) for a in sorted(atoms_of(s))}
     loc = world.default_location()
     valuation = {a: proc.output_fn(world, loc) == "1" for a, proc in procs.items()}

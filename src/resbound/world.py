@@ -3,13 +3,17 @@
 A world is the metatheory's ground truth: what each atomic claim's truth value
 is, and what every procedure and piece of equipment is actually for.  One
 routine, ``price``, sums what running procedures costs: each implementation,
-plus construction of each piece of equipment not yet built, once.  Strategy
-costing and the spend ledger both call it, so conjunctions of verifications
-that share equipment cost less than the sum of their standalone costs.
+plus construction of each piece of equipment not yet built, once.
+``strategy_cost`` and the spend ledger call it, so conjunctions of
+verifications that share equipment cost less than the sum of their
+standalone costs.  The frontier search in ``statements`` applies the same
+rule to many strategies at once, over ``World.cost_tables``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable, Optional, Sequence, Union
 
@@ -110,6 +114,33 @@ class Procedure:
         object.__setattr__(self, "equipment_used", frozenset(self.equipment_used))
 
 
+class CostTables:
+    """A world's costs as integer tuples, each component times ``scale``, the
+    least common multiple of every cost denominator; and each atom's deciding
+    procedures, sorted.  Strategy costing runs on these in exact integers."""
+
+    __slots__ = ("scale", "implementation", "construction", "deciders")
+
+    def __init__(self, world: World):
+        implementation = {pid: p.implementation_cost for pid, p in world.procedures.items()}
+        construction = {eq_id: e.construction_cost for eq_id, e in world.equipment.items()}
+        costs = [*implementation.values(), *construction.values()]
+        scale = math.lcm(*(c.denominator for cost in costs for c in cost.components))
+
+        def scaled(cost: ResourceVector) -> tuple[int, ...]:
+            return tuple(c.numerator * (scale // c.denominator) for c in cost.components)
+
+        deciders: dict[str, list[str]] = {}
+        for pid in sorted(world.procedures):
+            purpose = world.true_purposes.get(pid)
+            if isinstance(purpose, DetermineTruth):
+                deciders.setdefault(purpose.statement_id, []).append(pid)
+        self.scale = scale
+        self.implementation = {pid: scaled(cost) for pid, cost in implementation.items()}
+        self.construction = {eq_id: scaled(cost) for eq_id, cost in construction.items()}
+        self.deciders = {atom_id: tuple(pids) for atom_id, pids in deciders.items()}
+
+
 @dataclass(frozen=True)
 class World:
     """Immutable after construction; ledgers carry all mutable spend state."""
@@ -144,11 +175,12 @@ class World:
 
     def verifiers_for(self, atom_id: str) -> list[str]:
         """Procedure ids whose actual purpose is deciding this atom."""
-        return sorted(
-            pid
-            for pid, proc in self.procedures.items()
-            if self.true_purposes.get(pid) == DetermineTruth(atom_id)
-        )
+        return list(self.cost_tables.deciders.get(atom_id, ()))
+
+    @functools.cached_property
+    def cost_tables(self) -> CostTables:
+        """Built on first use and kept: the registries never change."""
+        return CostTables(self)
 
     def default_location(self) -> Location:
         return Location(("0",) * (self.dimension + 1))

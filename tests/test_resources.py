@@ -74,6 +74,14 @@ def test_pareto_min_examples():
     got = pareto_min({vec(1, 3), vec(2, 2), vec(3, 1), vec(2, 3)})
     assert got == frozenset({vec(1, 3), vec(2, 2), vec(3, 1)})
     assert pareto_min([vec(1, 1), vec(1, 1)]) == frozenset({vec(1, 1)})
+    assert pareto_min([(2, 0, 1), (1, 3, 0), (2, 1, 1), (1, 3, 0)]) == {(2, 0, 1), (1, 3, 0)}
+
+
+def test_pareto_min_mixed_lengths():
+    with pytest.raises(DimensionMismatch):
+        pareto_min({vec(1, 1), vec(0, 0, 0, 0)})
+    with pytest.raises(DimensionMismatch):
+        pareto_min([(1, 1), (0, 0, 0, 0)])
 
 
 def test_pareto_min_empty():

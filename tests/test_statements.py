@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from resbound import (
     And,
     Atom,
     DetermineTruth,
+    Equipment,
     Expression,
     Implies,
     Not,
@@ -26,6 +29,7 @@ from resbound import (
     vec,
     verify,
 )
+from resbound import statements
 from resbound.errors import NoStrategy, StatementSyntaxError, UncoveredAtom
 from resbound.statements import (
     atoms_of,
@@ -401,3 +405,158 @@ def test_subformulas_and_atoms():
     assert atoms_of(s) == frozenset({"A", "B", "C"})
     assert parse("(A&B)") in subformulas(s)
     assert parse("!C") in subformulas(s)
+
+
+# --- the frontier DP against brute force ------------------------------------------
+
+def _random_costing_world(rng):
+    """1-5 atoms, 1-3 deciders each, 0-4 shared equipment items and costs
+    with denominators 1-4; deciders draw from three costs, so ties occur.
+    Each decider that runs appends its id to the returned list."""
+    n = 2 * rng.randint(0, 1) + 2
+    alpha = Alphabet.from_string("ABCDE()!&|->_01")
+
+    def cost():
+        return vec(*(Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)))
+
+    equipment = {f"e{i}": Equipment(f"e{i}", cost()) for i in range(rng.randint(0, 4))}
+    palette = [cost() for _ in range(3)]
+    procs, purposes, truth, ran = {}, {}, {}, []
+
+    def recorded(pid, atom):
+        def fn(world, location):
+            ran.append(pid)
+            return "1" if world.ground_truth[atom] else "0"
+
+        return fn
+
+    for atom in "ABCDE"[: rng.randint(1, 5)]:
+        truth[atom] = rng.random() < 0.5
+        for j in range(rng.randint(1, 3)):
+            pid = f"p{atom}{j}"
+            uses = frozenset(e for e in equipment if rng.random() < 0.4)
+            procs[pid] = Procedure(
+                pid, uses, Expression("", alpha), rng.choice(palette), DetermineTruth(atom),
+                recorded(pid, atom),
+            )
+            purposes[pid] = DetermineTruth(atom)
+    return World(n // 2 - 1, alpha, equipment, procs, truth, purposes), ran
+
+
+def _random_statement(rng, atoms):
+    if len(atoms) == 1 or rng.random() < 0.2:
+        s = Atom(rng.choice(atoms))
+    else:
+        cut = rng.randint(1, len(atoms) - 1)
+        ctor = rng.choice([And, Or, Implies])
+        s = ctor(_random_statement(rng, atoms[:cut]), _random_statement(rng, atoms[cut:]))
+    return Not(s) if rng.random() < 0.3 else s
+
+
+def _brute_force_costs(s, world, prebuilt):
+    """Every covering strategy in product order, with its cost."""
+    needed = sorted(atoms_of(s))
+    combos = itertools.product(*(world.verifiers_for(a) for a in needed))
+    strategies = [VerificationStrategy(tuple(zip(needed, c)), prebuilt) for c in combos]
+    return [(st_, strategy_cost(s, st_, world)) for st_ in strategies]
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_frontier_dp_matches_brute_force(seed):
+    rng = random.Random(f"frontier:{seed}")
+    world, ran = _random_costing_world(rng)
+    atoms = world.atoms()
+    rng.shuffle(atoms)
+    s = _random_statement(rng, atoms[: rng.randint(1, len(atoms))])
+
+    costs = _brute_force_costs(s, world, frozenset())
+    values = [c for _, c in costs]
+    frontier = sorted(
+        {c for c in values if not any(o.dominates(c) for o in values)},
+        key=lambda v: v.sort_key(),
+    )
+    witnesses = tuple((p, tuple(st_ for st_, c in costs if c == p)) for p in frontier)
+    result = min_cost(s, world)
+    assert result.frontier == tuple(frontier)
+    assert result.witnesses == witnesses
+
+    n = 2 * world.dimension + 2
+    for _ in range(4):
+        prebuilt = frozenset(e for e in world.equipment if rng.random() < 0.5)
+        spent = vec(*(Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)))
+        budget, cap = (
+            rng.choice([None, vec(*(Fraction(rng.randint(0, 12), 2) for _ in range(n)))])
+            for _ in range(2)
+        )
+        ledger = SpendLedger(world, cap=cap, spent=spent, built=set(prebuilt))
+        admissible = [
+            ((cost.sort_key(), st_.assignments), cost, st_)
+            for st_, cost in _brute_force_costs(s, world, prebuilt)
+            if (budget is None or cost.leq(budget)) and ledger.can_spend(cost)
+        ]
+        ran.clear()
+        out = verify(s, budget, world, ledger)
+        if not admissible:
+            assert out is VerifyOutcome.INSUFFICIENT
+            assert ledger.spent == spent and ledger.built == prebuilt and not ran
+            continue
+        _, cost, chosen = min(admissible, key=lambda item: item[0])
+        assert sorted(ran) == sorted(p for _, p in chosen.assignments)
+        truth = evaluate(s, world.ground_truth)
+        assert out is (VerifyOutcome.TRUE if truth else VerifyOutcome.FALSE)
+        assert ledger.spent == spent.add(cost)
+        used = set().union(*(world.procedure(p).equipment_used for _, p in chosen.assignments))
+        assert ledger.built == prebuilt | used
+
+
+def test_min_cost_and_verify_scale_past_enumeration(monkeypatch):
+    """20 atoms in five groups of four, each atom decided either alone or
+    more cheaply on its group's equipment: 2**20 strategies, all with
+    different costs.  With a group's equipment built its cheaper decider
+    strictly dominates, so the frontier is among the 32 choices of which
+    groups to equip, filtered here by pairwise dominance."""
+    alpha = Alphabet.from_string("X0123456789()!&|->_")
+    build = [3, 1, 4, 2, 5]  # time to build each group's equipment
+    equipment = {f"e{g}": Equipment(f"e{g}", vec(build[g], 0)) for g in range(5)}
+    procs, purposes = {}, {}
+    names = [f"X{i:02d}" for i in range(20)]
+    for i, atom in enumerate(names):
+        for pid, uses, energy in ((f"alone{i}", (), 3 * 2**i), (f"kit{i}", (f"e{i // 4}",), 2**i)):
+            procs[pid] = Procedure(
+                pid, frozenset(uses), Expression("", alpha), vec(0, energy),
+                DetermineTruth(atom), truth_output(atom),
+            )
+            purposes[pid] = DetermineTruth(atom)
+    world = World(0, alpha, equipment, procs, dict.fromkeys(names, True), purposes)
+    s = Atom(names[0])
+    for name in names[1:]:
+        s = And(s, Atom(name))
+
+    calls = []
+    original = statements.strategy_cost
+    monkeypatch.setattr(statements, "strategy_cost", lambda *a: calls.append(a) or original(*a))
+    result = min_cost(s, world)
+
+    def group_choice(equipped):
+        time = sum(build[g] for g in equipped)
+        energy = sum((1 if i // 4 in equipped else 3) * 2**i for i in range(20))
+        picks = tuple(
+            (atom, f"kit{i}" if i // 4 in equipped else f"alone{i}") for i, atom in enumerate(names)
+        )
+        return vec(time, energy), VerificationStrategy(picks)
+
+    choices = [
+        group_choice({g for g in range(5) if mask >> g & 1}) for mask in range(32)
+    ]
+    expected = sorted(
+        (c for c in choices if not any(o[0].dominates(c[0]) for o in choices)),
+        key=lambda c: c[0].sort_key(),
+    )
+    assert 1 < len(expected) < 32
+    assert result.witnesses == tuple((cost, (st_,)) for cost, st_ in expected)
+
+    ledger = SpendLedger(world, built={"e0"})
+    assert verify(s, None, world, ledger) is VerifyOutcome.TRUE
+    assert ledger.spent == vec(0, sum((1 if i < 4 else 3) * 2**i for i in range(20)))
+    assert verify(Atom("X00"), None, world, ledger, {"X00": "kit0"}) is VerifyOutcome.TRUE
+    assert len(calls) == 1
