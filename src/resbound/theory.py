@@ -19,21 +19,72 @@ a missing proof means no proof exists within those bounds and the budget.
 A search reads only the admitted axiom statements (in order), the step
 bound, an effective cap and the goal's instantiation pool.  The effective cap
 is N(r), or unbounded once N(r) reaches the longest instance any schema can
-form over the uncapped closure, where the cap prunes nothing.  The saturation
-under modus ponens reads the same inputs and not the goal: it derives every
-statement reachable from the axioms and the schema instances over the pool.
-One cache, keyed on those inputs, therefore serves every goal and every
-theory that agree on them, such as the links of a chain, which are
-subformulas of its axioms, or the grid points of a lattice whose theories
-admit the same axioms.  It keeps only the pool's entries of each saturation:
-a search reads the entry of its goal, and every goal lies in its own pool,
-being in its closure and no longer than N(r).  A goal the axioms do not
-entail has no entry, since modus ponens over tautologies and the axioms
-derives only what they entail; such a goal is refused before any saturation
-is built for it.  The budget enters only afterwards.  Nothing is kept per
-theory: a repeated request re-links its proof from the shared root, which
-costs one linearization, so callers hold on to the results they need instead
-of asking again.
+form over the uncapped closure, where the cap prunes nothing.  Its saturation
+derives under modus ponens, within the step bound, from a base of entries:
+the axioms, then the kept schema instances over the pool (see below).  One
+cache, keyed on those inputs, serves every goal and theory that agree on
+them, such as the links of a chain or the grid points of a lattice whose
+theories admit the same axioms, and keeps only the pool's entries of each
+saturation: every goal lies in its own pool.  A goal the axioms do not entail
+has no entry, since modus ponens over tautologies and the axioms derives only
+what they entail; it is refused before anything is built for it.  The budget
+enters only afterwards.  Nothing is kept per theory: a repeated request
+re-links its proof from the shared root, which costs one linearization.
+
+Up to a step bound of four, a saturation reads only the entries that a
+derivation of one of its goals can use, magic-set style (Bancilhon, Maier,
+Sagiv & Ullman, PODS 1986).  Each entry gets the derivation the full base
+gives it (its first axiom, else its first kept instance in ``SCHEMAS``
+order) and the full base's position.  A derivation of s in j steps is s's
+entry (one step), or modus ponens on some f = (x->s) and x, and then it has at
+least three steps, since no recorded derivation of s has s among its
+premises' nodes (an earlier one would be as good).  Every f that can enter the
+saturation is a right-spine suffix of an axiom, or of a kept instance within
+the cap, with x entailed: the search finds them by matching s against the
+suffixes (x_p->s_p) of the templates and an index of axiom suffixes, without
+enumerating instances.  Growing s at j adds s's entry, if it has one, and
+otherwise, for j >= 3, grows f and x at j-1 for each such f where both may
+be derived in j-1 steps (an entry, or at three steps a pair of entries).  The
+base is the union of what the goals of one cache entry have grown, in the
+full base's order, and it is saturated again only when a goal adds to it.
+
+The goal's entry is exactly the full base's, under any base that holds the
+goal's grown set in the full base's order, such as the union of several
+goals' sets; "both runs" below are the saturations of such a base and of the
+full base.
+
+- A statement's best derivation is the least candidate computed for it, the
+  first among equals.  Within four steps a derivation has one step (an
+  entry, never beaten), three (modus ponens on two entries) or four (an entry
+  f = (x->s) with x derived from ((f->x), f), or an entry x with f derived
+  from ((x->f), x)).  Its node set fixes its premises and theirs, so equal
+  candidates are the same derivation: only which candidates are computed
+  matters, not in what order.
+- The first pass over the queue dequeues the entries, in base order, and
+  nothing else.  Each three-step candidate is computed then, when its
+  implication leaves the queue, so a statement's best value of at most three
+  steps is final after the first pass.  During it, that value changes at the
+  same entries in both runs for the goal and every statement grown at three
+  steps, since growing them added each pair of entries that derives them;
+  every other member of the set is an entry.
+- A goal candidate within four steps joins two such values.  In the first
+  pass it is computed at the same entries in both runs.  Afterwards each
+  premise holding a three-step value leaves the queue again in both runs
+  (it was queued when it got that value) and meets its partner's final
+  value; an entry implication left the queue in the first pass, so modus
+  ponens finds it.
+- Everything else the full run does passes through statements outside the
+  set.  A goal candidate through one exceeds four steps, since each premise
+  of a candidate within four steps has a value of at most three steps and
+  is in the set.  A member gets from outside only values of four or more
+  steps: they lose to every three-step value, and the extra dequeues they
+  cause come after the first pass and form again only candidates of final
+  values.
+
+Above four steps, values of four or more steps settle at points the first
+pass does not fix, and this argument does not carry over.  There the base
+stays every kept instance, which also costs less at the larger bounds tried
+(chains at seven and eleven steps).
 
 A saturation builds only the schema instances that can change an entry of
 it.  An instance I = (X->Y) matters only if I is in the pool, if X can enter
@@ -453,20 +504,45 @@ def _schema_shape(template: Statement) -> tuple[int, dict[str, int]]:
 _SCHEMA_SHAPES = [_schema_shape(schema.template) for schema in SCHEMAS]
 
 
+_SCOPE = {"Not": Not, "And": And, "Or": Or, "Implies": Implies}
+
+
+def _source(t: Statement, names: dict[str, str]) -> str:
+    """Python source that builds t, reading each metavariable from ``names``."""
+    if isinstance(t, Atom):
+        return names[t.claim_id]
+    if isinstance(t, Not):
+        return f"Not({_source(t.inner, names)})"
+    return f"{type(t).__name__}({_source(t.left, names)}, {_source(t.right, names)})"
+
+
 def _constructor(schema: Schema):
     """A function from the metavariables' values, in order, to the instance:
     the template compiled once into nested constructor calls."""
     params = {var: f"v{i}" for i, var in enumerate(schema.metavars)}
+    return eval(f"lambda {', '.join(params.values())}: {_source(schema.template, params)}", _SCOPE)
 
-    def source(t: Statement) -> str:
+
+@functools.cache
+def _matcher(template: Statement):
+    """A function from a statement to the metavariable values that make the
+    template it, or None: the template compiled into type and identity tests."""
+    tests: list[str] = []
+    found: dict[str, str] = {}
+
+    def walk(t: Statement, path: str) -> None:
         if isinstance(t, Atom):
-            return params[t.claim_id]
-        if isinstance(t, Not):
-            return f"Not({source(t.inner)})"
-        return f"{type(t).__name__}({source(t.left)}, {source(t.right)})"
+            if t.claim_id in found:
+                tests.append(f"{path} is {found[t.claim_id]}")
+            found.setdefault(t.claim_id, path)
+        else:
+            tests.append(f"type({path}) is {type(t).__name__}")
+            for part in ("inner",) if isinstance(t, Not) else ("left", "right"):
+                walk(getattr(t, part), f"{path}.{part}")
 
-    scope = {"Not": Not, "And": And, "Or": Or, "Implies": Implies}
-    return eval(f"lambda {', '.join(params.values())}: {source(schema.template)}", scope)
+    walk(template, "s")
+    values = ", ".join(f"{var!r}: {path}" for var, path in found.items())
+    return eval(f"lambda s: {{{values}}} if {' and '.join(tests) or 'True'} else None", _SCOPE)
 
 
 _CONSTRUCTORS = [_constructor(schema) for schema in SCHEMAS]
@@ -474,10 +550,11 @@ _CONSTRUCTORS = [_constructor(schema) for schema in SCHEMAS]
 
 def _truth_vectors(
     axioms: tuple[Statement, ...], pool: list[Statement]
-) -> tuple[int, list[int]]:
+) -> tuple[int, list[int], Callable[[Statement], int]]:
     """The truth vector of each pool statement: the bitmask of the valuations
     of the atoms in play that satisfy every axiom and make it true.  Also the
-    vector of all those valuations, which an entailed statement has."""
+    vector of all those valuations, which an entailed statement has, and the
+    function giving the vector of any statement over those atoms."""
     names = sorted(set().union(*map(atoms_of, (*axioms, *pool))))
     rows = 1 << len(names)
     full = (1 << rows) - 1
@@ -499,7 +576,7 @@ def _truth_vectors(
         return vector[s]
 
     everything = functools.reduce(int.__and__, map(of, axioms), full)
-    return everything, [of(s) & everything for s in pool]
+    return everything, [of(s) & everything for s in pool], lambda s: of(s) & everything
 
 
 def _keep_rules(
@@ -736,10 +813,183 @@ def _effective_cap(closure: set[Statement], cap: Optional[int]) -> Optional[int]
     return None if cap >= widest else cap
 
 
-# saturations shared by every goal and theory that read the same inputs: the
-# key is (axiom statements, pool, step bound, effective cap), the value the
-# best derivation of each pool statement that the saturation reaches
-_saturations: dict[tuple, dict[Statement, _Derivation]] = {}
+@functools.cache
+def _suffixes() -> list[tuple]:
+    """Per right-spine suffix t = (x_p->s_p) of a template: t, its schema, a
+    matcher for s_p, a builder of x from the values, the metavariables of x_p
+    that s_p leaves open, and whether x_p is one of them."""
+    out = []
+    for schema in SCHEMAS:
+        names = {var: f"v[{var!r}]" for var in schema.metavars}
+        t = schema.template
+        while isinstance(t, Implies):
+            free = sorted(atoms_of(t.left) - atoms_of(t.right))
+            build = eval(f"lambda v: {_source(t.left, names)}", _SCOPE)
+            sure = isinstance(t.left, Atom) and free == [t.left.claim_id]
+            out.append((t, schema, _matcher(t.right), build, free, sure))
+            t = t.right
+    return out
+
+
+@functools.cache
+def _suffix_patterns(kind: type, whole: bool) -> list[tuple]:
+    """The suffixes whose s_p can match a statement of this type; with
+    ``whole``, only the templates themselves."""
+    return [p[1:] for p in _suffixes() if isinstance(p[0].right, (Atom, kind))
+            and (p[0] is p[1].template or not whole)]
+
+
+class _Search:
+    """One cached saturation: the pool's truth vectors and keep rules, the base
+    it saturates and the pool entries of that saturation.  Above the step bound
+    ``_GROWN_STEPS`` the base is every kept instance; up to it the base is the
+    union of the relevant sets asked so far, and grows goal by goal."""
+
+    def __init__(
+        self,
+        axioms: tuple[Statement, ...],
+        pool: list[Statement],
+        cap: Optional[int],
+        steps: int,
+        everything: int,
+        vectors: list[int],
+        truth: Callable[[Statement], int],
+    ):
+        self.axioms, self.pool, self.cap, self.steps = axioms, pool, cap, steps
+        self.everything, self.vectors, self.truth = everything, vectors, truth
+        self.index = {s: i for i, s in enumerate(pool)}
+        self.best: Optional[dict[Statement, _Derivation]] = None
+        self.base: dict[Statement, _Derivation] = {}
+        self.grown: dict[Statement, int] = {}
+        self.entries: dict[Statement, Optional[_Derivation]] = {}
+        self.premises: dict[tuple, list[Statement]] = {}
+        self.within: dict[tuple, bool] = {}
+        if steps <= _GROWN_STEPS:
+            self.rules = _keep_rules(pool, everything, vectors)
+            self.entailed_pool = [s for s in pool if self._entails(s)]
+            # each right-spine suffix of an axiom, under its conclusion
+            self.suffixes: dict[Statement, dict[Statement, None]] = {}
+            for ax in axioms:
+                while isinstance(ax, Implies):
+                    self.suffixes.setdefault(ax.right, {})[ax] = None
+                    ax = ax.right
+
+    def entry(self, goal: Statement) -> Optional[_Derivation]:
+        """The goal's best derivation, or None if the saturation has none."""
+        if self.vectors[self.index[goal]] != self.everything:
+            return None
+        if self.steps > _GROWN_STEPS:
+            if self.best is None:
+                self._run(_base_derivations(
+                    self.axioms, self.pool, self.cap, self.everything, self.vectors))
+        else:
+            size = len(self.base)
+            self._grow(goal, self.steps)
+            if self.best is None or len(self.base) > size:
+                self._run(sorted(self.base.values(), key=self._order))
+        return self.best.get(goal)
+
+    def _run(self, base: list[_Derivation]) -> None:
+        best = _saturate(base, self.steps)
+        self.best = {s: best[s] for s in self.pool if s in best}
+
+    def _order(self, d: _Derivation) -> tuple:
+        """The position the full base gives d."""
+        if d.kind == "axiom":
+            return (-1, d.axiom_index)
+        return (d.schema_index, *map(self.index.__getitem__, d.values))
+
+    def _grow(self, s: Statement, j: int) -> None:
+        """Add to the base every entry a derivation of s in at most j steps can
+        use: s itself if it is an entry, else the premises of s that can be
+        derived in at most j-1 steps, grown in turn."""
+        if self.grown.get(s, 0) >= j:
+            return
+        self.grown[s] = j
+        d = self._entry_of(s)
+        if d is not None:
+            self.base[s] = d
+        elif j >= 3:
+            for f in self._premises(s, j == 3):
+                if self._within(f, j - 1) and self._within(f.left, j - 1):
+                    self._grow(f, j - 1)
+                    self._grow(f.left, j - 1)
+
+    def _within(self, s: Statement, j: int) -> bool:
+        """False only if s has no derivation of at most j steps."""
+        if self._entry_of(s) is not None:
+            return True
+        if j < 3:
+            return False
+        if (s, j) not in self.within:
+            self.within[s, j] = any(
+                self._within(f, j - 1) and self._within(f.left, j - 1)
+                for f in self._premises(s, j == 3)
+            )
+        return self.within[s, j]
+
+    def _entry_of(self, s: Statement) -> Optional[_Derivation]:
+        """The derivation the full base gives s: its first axiom, else its
+        first kept instance in ``SCHEMAS`` order; None if s is no entry."""
+        if s not in self.entries:
+            d = None
+            if s in self.axioms:
+                d = _Derivation(s, "axiom", (1, s._len), axiom_index=self.axioms.index(s),
+                                nodes=frozenset({s}))
+            elif self.cap is None or s._len <= self.cap:
+                for schema in SCHEMAS:
+                    values = _matcher(schema.template)(s)
+                    if values is not None and self._kept(schema, values):
+                        d = _Derivation(s, "schema", (1, s._len), schema_index=schema.index,
+                                        values=tuple(values[v] for v in schema.metavars),
+                                        nodes=frozenset({s}))
+                        break
+            self.entries[s] = d
+        return self.entries[s]
+
+    def _kept(self, schema: Schema, values: dict[str, Statement]) -> bool:
+        """Whether the instance over these values is kept and fits the cap."""
+        at = [self.index.get(values[v]) for v in schema.metavars]
+        if None in at or not self.rules[schema.name](*at[:-1]) >> at[-1] & 1:
+            return False
+        const, coeffs = _SCHEMA_SHAPES[schema.index]
+        return self.cap is None or const + sum(
+            c * values[v]._len for v, c in coeffs.items()) <= self.cap
+
+    def _premises(self, s: Statement, whole: bool) -> list[Statement]:
+        """Every implication (x->s) with x entailed that can enter the
+        saturation: a suffix of an axiom, or of a kept instance that fits the
+        cap (with ``whole``, only the axioms and instances themselves)."""
+        if (s, whole) in self.premises:
+            return self.premises[s, whole]
+        found = dict.fromkeys(f for f in self.suffixes.get(s, ()) if self._entails(f.left))
+        for schema, match, build, free, sure in _suffix_patterns(type(s), whole):
+            values = match(s)
+            if values is None or not all(map(self.index.__contains__, values.values())):
+                continue
+            complete = len(values) + len(free) == len(schema.metavars)
+            # x ranges over the entailed pool when x_p is a metavariable s_p leaves open
+            choices = self.entailed_pool if sure else self.pool
+            for combo in itertools.product(choices, repeat=len(free)):
+                values.update(zip(free, combo))
+                if complete and not self._kept(schema, values):
+                    continue
+                x = build(values)
+                if sure or self._entails(x):
+                    found[Implies(x, s)] = None
+        self.premises[s, whole] = list(found)
+        return self.premises[s, whole]
+
+    def _entails(self, s: Statement) -> bool:
+        return self.truth(s) == self.everything
+
+
+# the step bound up to which a saturation reads only the goals' relevant sets
+_GROWN_STEPS = 4
+
+# searches shared by every goal and theory that read the same inputs: the key
+# is (axiom statements, pool, step bound, effective cap)
+_saturations: dict[tuple, _Search] = {}
 
 
 def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> Optional[Proof]:
@@ -753,14 +1003,14 @@ def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> O
     search_cap = _effective_cap(closure, cap)
     pool = _instantiation_pool(closure, search_cap)
     key = (axioms, tuple(pool), steps, search_cap)
-    if key not in _saturations:
-        everything, vectors = _truth_vectors(axioms, pool)
+    search = _saturations.get(key)
+    if search is None:
+        everything, vectors, truth = _truth_vectors(axioms, pool)
         if vectors[pool.index(goal)] != everything:
             return None
-        base = _base_derivations(axioms, pool, search_cap, everything, vectors)
-        best = _saturate(base, steps)
-        _saturations[key] = {s: best[s] for s in pool if s in best}
-    root = _saturations[key].get(goal)
+        search = _Search(axioms, pool, search_cap, steps, everything, vectors, truth)
+        _saturations[key] = search
+    root = search.entry(goal)
     return _linearize(theory, root) if root is not None else None
 
 

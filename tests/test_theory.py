@@ -453,7 +453,7 @@ def test_budget_is_not_in_the_search_key(std_world, rich_first, fresh_searches):
     assert proofs[id(poor)] is None
     assert proofs[id(rich)] is not None
     assert proofs[id(rich)].cost == vec(316, 316, 316, 316)
-    assert len(fresh_searches) == 1
+    assert fresh_searches == [2]  # one saturation of A and (A->B)
 
 
 def test_binding_cap_is_in_the_search_key(std_world, std_cost, fresh_searches):
@@ -465,7 +465,8 @@ def test_binding_cap_is_in_the_search_key(std_world, std_cost, fresh_searches):
     assert ample.axioms.admitted == capped.axioms.admitted
     assert prove(ample, Atom("A")) is not None
     assert prove(capped, Atom("A")) is None
-    assert len(fresh_searches) == 2
+    # (A&B) and ((A&B)->A); without that instance nothing can derive A
+    assert fresh_searches == [2, 0]
 
 
 def _answers(theory, goals):
@@ -494,7 +495,7 @@ def test_standard_t0_after_t8_answers_as_alone(monkeypatch):
     assert ("A", True) in alone
 
 
-def test_lattice_on_standard_runs_72_saturations(tmp_path, fresh_searches):
+def test_lattice_on_standard_runs_73_saturations(tmp_path, fresh_searches):
     import resbound.theory as theory_mod
     from resbound.cli import main
 
@@ -502,12 +503,14 @@ def test_lattice_on_standard_runs_72_saturations(tmp_path, fresh_searches):
         ["--scenario", "fixtures/standard.scn", "--command", "lattice", "--out", str(tmp_path)]
     )
     assert code == 0
-    # the six grid points that admit the same axioms share every saturation
-    assert len(fresh_searches) == 72
+    # the six grid points that admit the same axioms share every search; one
+    # goal adds to the base of its pool's search, which saturates again
+    assert len(fresh_searches) == 73
     assert len(theory_mod._saturations) == 72
-    # 142 axioms and 84,427 instances; the full product over each pool holds
-    # 165,124 instances
-    assert sum(fresh_searches) == 84569
+    # the bases end with 60 axioms and 54 instances; every kept instance over
+    # each pool made 142 axioms and 84,427 instances, the full product 165,124
+    assert sum(fresh_searches) == 115
+    assert sum(len(s.base) for s in theory_mod._saturations.values()) == 114
 
 
 def test_goals_with_one_pool_share_a_saturation(monkeypatch, fresh_searches):
@@ -550,33 +553,37 @@ def _full_product_base(axioms, pool, cap):
             out.append(_Derivation(ax, "axiom", (1, len(render(ax))), axiom_index=idx,
                                    nodes=frozenset({ax})))
     for schema in SCHEMAS:
+        text = render(schema.template)
         for combo in itertools.product(pool, repeat=len(schema.metavars)):
+            # the rendered length of the instance, without building it
+            length = len(text) + sum(
+                text.count(v) * (len(render(c)) - len(v)) for v, c in zip(schema.metavars, combo))
+            if cap is not None and length > cap:
+                continue
             inst = substitute(schema.template, dict(zip(schema.metavars, combo)))
-            if inst in seen or (cap is not None and len(render(inst)) > cap):
+            if inst in seen:
                 continue
             seen.add(inst)
-            out.append(_Derivation(inst, "schema", (1, len(render(inst))),
+            out.append(_Derivation(inst, "schema", (1, length),
                                    schema_index=schema.index, values=combo,
                                    nodes=frozenset({inst})))
     return out
 
 
-def _pool_entries(best, pool):
-    """Each pool statement's key and chosen sub-DAG, step by step."""
+def _entry(root):
+    """A derivation's key and chosen sub-DAG, step by step."""
     from resbound.theory import _chosen_subdag
 
-    return {
-        s: (
-            best[s].key,
-            sorted(
-                (render(t), d.kind, d.schema_index, d.values, d.axiom_index,
-                 tuple(p.statement for p in d.premises))
-                for t, d in _chosen_subdag(best[s]).items()
-            ),
-        )
-        for s in pool
-        if s in best
-    }
+    return root.key, sorted(
+        (render(t), d.kind, d.schema_index, d.values, d.axiom_index,
+         tuple(p.statement for p in d.premises))
+        for t, d in _chosen_subdag(root).items()
+    )
+
+
+def _pool_entries(best, pool):
+    """Each pool statement's key and chosen sub-DAG, step by step."""
+    return {s: _entry(best[s]) for s in pool if s in best}
 
 
 def _random_statement(rng, names, depth):
@@ -629,7 +636,7 @@ def test_kept_instances_saturate_like_the_full_product():
         closure = _closure(axioms, goal)
         search_cap = _effective_cap(closure, cap)
         pool = _instantiation_pool(closure, search_cap)
-        base = _base_derivations(axioms, pool, search_cap, *_truth_vectors(axioms, pool))
+        base = _base_derivations(axioms, pool, search_cap, *_truth_vectors(axioms, pool)[:2])
         reference = _full_product_base(axioms, pool, search_cap)
         # the same derivations, in the same order, with some left out
         steps_left = iter((d.statement, d.schema_index, d.values) for d in reference)
@@ -640,6 +647,105 @@ def test_kept_instances_saturate_like_the_full_product():
         kept += len(base)
         full += len(reference)
     assert kept < 0.6 * full
+
+
+def _search(axioms, goal, cap, steps):
+    """The pool, effective cap and a fresh search of one random theory."""
+    from resbound.theory import (
+        _closure,
+        _effective_cap,
+        _instantiation_pool,
+        _Search,
+        _truth_vectors,
+    )
+
+    closure = _closure(axioms, goal)
+    search_cap = _effective_cap(closure, cap)
+    pool = _instantiation_pool(closure, search_cap)
+    return pool, search_cap, _Search(axioms, pool, search_cap, steps, *_truth_vectors(axioms, pool))
+
+
+def test_searched_entry_is_the_full_products():
+    import random
+
+    from resbound.theory import _saturate
+
+    # step bounds 3-8 cover both bases: the goal's grown set up to 4 steps,
+    # every kept instance above
+    found = {True: 0, False: 0}
+    # D has a four-step proof through B from ((B->D)->B); a shorter derivation
+    # of B from (B&A) ends it unless (B->D) meets the first one earlier, so
+    # the order of the axioms decides whether the saturation finds it
+    cases = [(tuple(map(parse, axioms)), Atom("D"), None, 4) for axioms in (
+        ["((B->D)->B)", "(B->D)", "(B&A)"], ["(B&A)", "(B->D)", "((B->D)->B)"])]
+    drawn = zip(_random_theories(random.Random(13), 200), itertools.cycle(range(3, 9)))
+    cases += [(axioms, goal, cap, steps) for (axioms, goal, cap, _), steps in drawn]
+    for axioms, goal, cap, steps in cases:
+        pool, search_cap, search = _search(axioms, goal, cap, steps)
+        root = search.entry(goal)
+        if search.vectors[pool.index(goal)] != search.everything:
+            assert root is None  # nothing is built for a goal the axioms do not entail
+            assert search.best is None
+            continue
+        best = _saturate(_full_product_base(axioms, pool, search_cap), steps)
+        reference = best.get(goal)
+        assert (root and _entry(root)) == (reference and _entry(reference)), (
+            [render(a) for a in axioms], render(goal), cap, steps)
+        found[steps <= 4] += root is not None
+    assert found == {True: 19, False: 41}
+
+
+@pytest.mark.parametrize("steps", [3, 4, 7])
+def test_goals_of_a_pool_in_any_order_prove_as_alone(monkeypatch, std_world, std_cost, steps):
+    import random
+
+    import resbound.theory as theory_mod
+
+    # the axioms' subformulas share the axioms' pool, the last five goals bring
+    # pools of their own; D and (A&A) take four steps
+    axioms = ["A", "(A->(A->D))", "(!D|B)", "(C->B)"]
+    goals = sorted(theory_mod._closure(tuple(parse(a) for a in axioms), Atom("A")), key=render)
+    goals += [parse(g) for g in ("(A->(B->A))", "((A&C)->A)", "(D|C)", "(B&D)", "(A&A)")]
+    theory = theory_with(std_world, std_cost, axioms, steps=steps)
+    alone = []
+    for g in goals:
+        monkeypatch.setattr(theory_mod, "_saturations", {})
+        alone.append(prove(theory, g))
+    assert sum(p is not None for p in alone) == {3: 7, 4: 9, 7: 10}[steps]
+    for seed in range(3):
+        monkeypatch.setattr(theory_mod, "_saturations", {})
+        order = random.Random(seed).sample(range(len(goals)), len(goals))
+        shared = {i: prove(theory, goals[i]) for i in order}
+        assert [shared[i] for i in range(len(goals))] == alone
+
+
+def test_goals_saturate_again_only_when_they_add_to_the_base(monkeypatch, fresh_searches):
+    import resbound.theory as theory_mod
+
+    # at four steps E needs K and (K->E); M also needs (E->M) but has no proof
+    # within four steps; V adds nothing, (K&V) has a pool of its own and an
+    # empty base, and the axiom K is already in the base
+    goals = [Atom("E"), Atom("M"), Atom("V"), parse("(K&V)"), Atom("K")]
+    shared = [prove(chain_theory(100000, "KEMV", 4), g) for g in goals]
+    assert fresh_searches == [2, 3, 0]
+    assert [p is not None for p in shared] == [True, False, False, False, True]
+    for g, proof in zip(goals, shared):
+        monkeypatch.setattr(theory_mod, "_saturations", {})
+        assert prove(chain_theory(100000, "KEMV", 4), g) == proof
+
+
+def test_step_bound_selects_the_base(monkeypatch, std_world, std_cost):
+    import resbound.theory as theory_mod
+
+    built = []
+    full = theory_mod._base_derivations
+    monkeypatch.setattr(theory_mod, "_base_derivations", lambda *a: built.append(1) or full(*a))
+    for steps, builds in [(3, 0), (4, 0), (5, 1), (8, 2)]:
+        monkeypatch.setattr(theory_mod, "_saturations", {})
+        theory = theory_with(std_world, std_cost, ["A", "(A->B)"], steps=steps)
+        assert prove(theory, Atom("B")) is not None
+        assert prove(theory, Atom("A")) is not None
+        assert len(built) == builds
 
 
 def test_chain_base_leaves_out_what_cannot_fire(monkeypatch):
