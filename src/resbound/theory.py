@@ -10,91 +10,62 @@ held for the remainder of the proof: step i of k pays its creation and
 display cost plus maintenance for the k-i intervals it stays alive, so
 longer proofs pay superlinear energy.
 
-Search enumerates derivations of increasing size (number of distinct proof
-steps).  Schema metavariables range over the subformula closure of the
-admitted axioms and the goal, plus the negations of those subformulas,
-capped at N(r).  The search is exhaustive within the configured step bound;
-a missing proof means no proof exists within those bounds and the budget.
+Schema metavariables range over the subformula closure of the admitted
+axioms and the goal, plus the negations of those subformulas, capped at N(r).
+Up to a step bound of four the search is exhaustive: a goal with no
+derivation has none within those bounds.  The budget is checked on the least
+derivation only.
 
 A search reads only the admitted axiom statements (in order), the step
 bound, an effective cap and the goal's instantiation pool.  The effective cap
 is N(r), or unbounded once N(r) reaches the longest instance any schema can
-form over the uncapped closure, where the cap prunes nothing.  Its saturation
-derives under modus ponens, within the step bound, from a base of entries:
-the axioms, then the kept schema instances over the pool (see below).  One
-cache, keyed on those inputs, serves every goal and theory that agree on
-them, such as the links of a chain or the grid points of a lattice whose
-theories admit the same axioms, and keeps only the pool's entries of each
-saturation: every goal lies in its own pool.  A goal the axioms do not entail
-has no entry, since modus ponens over tautologies and the axioms derives only
-what they entail; it is refused before anything is built for it.  The budget
-enters only afterwards.  Nothing is kept per theory: a repeated request
-re-links its proof from the shared root, which costs one linearization.
+form over the uncapped closure, where the cap prunes nothing.  Its entries
+are the axioms and the kept schema instances over the pool (see below), and
+it derives from them under modus ponens within the step bound.  One cache,
+keyed on those inputs, serves every goal and theory that agree on them, such
+as the links of a chain or the grid points of a lattice whose theories admit
+the same axioms, and keeps only the pool's derivations: every goal lies in
+its own pool.  A goal the axioms do not entail has no derivation, since modus
+ponens over tautologies and the axioms derives only what they entail; it is
+refused before anything is built for it.  The budget enters only afterwards.
+Nothing is kept per theory: a repeated request re-links its proof from the
+shared root, which costs one linearization.
 
-Up to a step bound of four, a saturation reads only the entries that a
-derivation of one of its goals can use, magic-set style (Bancilhon, Maier,
-Sagiv & Ullman, PODS 1986).  Each entry gets the derivation the full base
-gives it (its first axiom, else its first kept instance in ``SCHEMAS``
-order) and the full base's position.  A derivation of s in j steps is s's
-entry (one step), or modus ponens on some f = (x->s) and x, and then it has at
-least three steps, since no recorded derivation of s has s among its
-premises' nodes (an earlier one would be as good).  Every f that can enter the
-saturation is a right-spine suffix of an axiom, or of a kept instance within
-the cap, with x entailed: the search finds them by matching s against the
-suffixes (x_p->s_p) of the templates and an index of axiom suffixes, without
-enumerating instances.  Growing s at j adds s's entry, if it has one, and
-otherwise, for j >= 3, grows f and x at j-1 for each such f where both may
-be derived in j-1 steps (an entry, or at three steps a pair of entries).  The
-base is the union of what the goals of one cache entry have grown, in the
-full base's order, and it is saturated again only when a goal adds to it.
+Up to a step bound of four, the search builds the goal's least derivation
+directly.  Derivations are ordered by (node count, total rendered length of
+the nodes), then by the sorted renderings of the nodes, and a node set fixes
+its derivation.  A derivation of s is s's entry, one step and never beaten,
+or modus ponens on f = (x->s) and x, x not s, which takes at least three
+steps.  Within four steps that leaves three shapes:
 
-The goal's entry is exactly the full base's, under any base that holds the
-goal's grown set in the full base's order, such as the union of several
-goals' sets; "both runs" below are the saturations of such a base and of the
-full base.
+- one step: s is an entry;
+- three: f and x are entries;
+- four: f is an entry and x comes from the entry (f->x) and f, or x is an
+  entry and f comes from the entry (x->f) and x (a premise of three steps
+  that shares no node with the other makes five).
 
-- A statement's best derivation is the least candidate computed for it, the
-  first among equals.  Within four steps a derivation has one step (an
-  entry, never beaten), three (modus ponens on two entries) or four (an entry
-  f = (x->s) with x derived from ((f->x), f), or an entry x with f derived
-  from ((x->f), x)).  Its node set fixes its premises and theirs, so equal
-  candidates are the same derivation: only which candidates are computed
-  matters, not in what order.
-- The first pass over the queue dequeues the entries, in base order, and
-  nothing else.  Each three-step candidate is computed then, when its
-  implication leaves the queue, so a statement's best value of at most three
-  steps is final after the first pass.  During it, that value changes at the
-  same entries in both runs for the goal and every statement grown at three
-  steps, since growing them added each pair of entries that derives them;
-  every other member of the set is an entry.
-- A goal candidate within four steps joins two such values.  In the first
-  pass it is computed at the same entries in both runs.  Afterwards each
-  premise holding a three-step value leaves the queue again in both runs
-  (it was queued when it got that value) and meets its partner's final
-  value; an entry implication left the queue in the first pass, so modus
-  ponens finds it.
-- Everything else the full run does passes through statements outside the
-  set.  A goal candidate through one exceeds four steps, since each premise
-  of a candidate within four steps has a value of at most three steps and
-  is in the set.  A member gets from outside only values of four or more
-  steps: they lose to every three-step value, and the extra dequeues they
-  cause come after the first pass and form again only candidates of final
-  values.
+The f's a shape can use are right-spine suffixes (x->s), x entailed, of the
+axioms and of the kept instances within the cap; the search finds them by
+matching s against the templates' suffixes and an index of the axioms',
+without enumerating instances.  The result depends neither on the order of
+the axioms nor on the goals asked before.
 
-Above four steps, values of four or more steps settle at points the first
-pass does not fix, and this argument does not carry over.  There the base
-stays every kept instance, which also costs less at the larger bounds tried
-(chains at seven and eleven steps).
+Above four steps the search saturates the axioms, then every kept instance in
+``itertools.product`` order per schema: each statement keeps the least
+candidate formed from its premises' current values.  That joins only each
+premise's best derivation, so it can miss one within the bound whose premises
+share nodes, depending on the order of the axioms; there a missing proof
+means only that the saturation found none.
 
-A saturation builds only the schema instances that can change an entry of
-it.  An instance I = (X->Y) matters only if I is in the pool, if X can enter
-the saturation, or if an implication with antecedent I can.  What enters is
-entailed by the axioms, and it is an axiom, a schema instance over the pool,
-or what modus ponens leaves of one by stripping leading antecedents.  A truth
-vector per pool statement, the bitmask of the valuations that satisfy every
-axiom and make it true, decides entailment (inconsistent axioms entail
-everything, so then every instance is kept).  With P the pool, an instance
-is kept when:
+A search takes as entries only the schema instances that can change a
+derivation it keeps.  An instance I = (X->Y) matters only if I is in the
+pool, if X can enter a derivation, or if an implication with antecedent I
+can.  What enters is entailed by the axioms, and it is an axiom, a schema
+instance over the pool, or what modus ponens leaves of one by stripping
+leading antecedents.  A truth vector per pool statement, the bitmask of the
+valuations that satisfy every axiom and make it true, decides entailment
+(inconsistent axioms entail everything, so then every instance is kept).
+With P the pool, an instance is kept when:
 
 - weakening, contraposition: always (each weakening instance is the
   antecedent of a distribution instance that is kept);
@@ -108,12 +79,14 @@ is kept when:
   left of a pool statement, an axiom (whose subformulas are in P) or a
   weakening instance, or of an instance whose antecedent is compound.
 
-The answers do not change.  An instance left out would enter with one step
-and is never beaten; when taken off the queue it finds no antecedent for
-modus ponens, and nothing ever looks it up.  Dropping it therefore leaves
-every other entry, candidate and tie, and the queue order, as they were;
-should modus ponens derive it after all, it is just as inert, and it is not
-in the pool, whose entries are all that is kept.
+The answers do not change.  In a shape every entry is the goal, or has an
+antecedent in the derivation (f, (f->x) and (x->f)), or is the antecedent of
+an implication in it (x and f).  In a saturation an instance left out would
+enter with one step and is never beaten; when taken off the queue it finds
+no antecedent for modus ponens, and nothing ever looks it up.  Dropping it
+therefore leaves every other entry, candidate and tie, and the queue order,
+as they were; should modus ponens derive it after all, it is just as inert,
+and it is not in the pool, whose entries are all that is kept.
 
 Linearization is exact: among the orders that put premises before conclusions
 and the goal last, it takes the one with the least maintenance energy, the
@@ -685,6 +658,14 @@ def _base_derivations(
     return out
 
 
+def _modus_ponens(fd: _Derivation, xd: _Derivation) -> _Derivation:
+    """The derivation of s from those of f = (x->s) and x."""
+    s = fd.statement.right
+    nodes = fd.nodes | xd.nodes | {s}
+    return _Derivation(s, "mp", (len(nodes), sum(rendered_length(n) for n in nodes)),
+                       premises=(fd, xd), nodes=nodes)
+
+
 def _saturate(base: list[_Derivation], max_steps: int) -> dict[Statement, _Derivation]:
     best: dict[Statement, _Derivation] = {}
     ante_index: dict[Statement, list[Statement]] = {}
@@ -696,20 +677,13 @@ def _saturate(base: list[_Derivation], max_steps: int) -> dict[Statement, _Deriv
         xd = best.get(f_stmt.left)
         if fd is None or xd is None:
             return
-        right = f_stmt.right
-        nodes = fd.nodes | xd.nodes | {right}
-        count = len(nodes)
-        if count > max_steps:
+        cand = _modus_ponens(fd, xd)
+        cur = best.get(cand.statement)
+        if cand.key[0] > max_steps or cur is not None and (
+                cur.key < cand.key or cur.key == cand.key and _tie(cur) <= _tie(cand)):
             return
-        cur = best.get(right)
-        key = (count, sum(rendered_length(n) for n in nodes))
-        if cur is not None and cur.key < key:
-            return
-        cand = _Derivation(right, "mp", key, premises=(fd, xd), nodes=nodes)
-        if cur is not None and cur.key == key and _tie(cur) <= _tie(cand):
-            return
-        best[right] = cand
-        queue.append(right)
+        best[cand.statement] = cand
+        queue.append(cand.statement)
 
     for d in base:
         if d.key[0] > max_steps:
@@ -815,9 +789,9 @@ def _effective_cap(closure: set[Statement], cap: Optional[int]) -> Optional[int]
 
 @functools.cache
 def _suffixes() -> list[tuple]:
-    """Per right-spine suffix t = (x_p->s_p) of a template: t, its schema, a
-    matcher for s_p, a builder of x from the values, the metavariables of x_p
-    that s_p leaves open, and whether x_p is one of them."""
+    """Per right-spine suffix (x_p->s_p) of a template: its schema, a matcher
+    for s_p, a builder of x from the values, the metavariables of x_p that s_p
+    leaves open, and whether x_p is one of them."""
     out = []
     for schema in SCHEMAS:
         names = {var: f"v[{var!r}]" for var in schema.metavars}
@@ -826,24 +800,16 @@ def _suffixes() -> list[tuple]:
             free = sorted(atoms_of(t.left) - atoms_of(t.right))
             build = eval(f"lambda v: {_source(t.left, names)}", _SCOPE)
             sure = isinstance(t.left, Atom) and free == [t.left.claim_id]
-            out.append((t, schema, _matcher(t.right), build, free, sure))
+            out.append((schema, _matcher(t.right), build, free, sure))
             t = t.right
     return out
 
 
-@functools.cache
-def _suffix_patterns(kind: type, whole: bool) -> list[tuple]:
-    """The suffixes whose s_p can match a statement of this type; with
-    ``whole``, only the templates themselves."""
-    return [p[1:] for p in _suffixes() if isinstance(p[0].right, (Atom, kind))
-            and (p[0] is p[1].template or not whole)]
-
-
 class _Search:
-    """One cached saturation: the pool's truth vectors and keep rules, the base
-    it saturates and the pool entries of that saturation.  Above the step bound
-    ``_GROWN_STEPS`` the base is every kept instance; up to it the base is the
-    union of the relevant sets asked so far, and grows goal by goal."""
+    """One cached search: the pool's truth vectors and the best derivation of
+    each pool statement asked for.  Up to the step bound ``_SHAPED_STEPS`` it
+    builds each goal's least derivation from its shape; above it, it saturates
+    every kept instance once."""
 
     def __init__(
         self,
@@ -858,13 +824,9 @@ class _Search:
         self.axioms, self.pool, self.cap, self.steps = axioms, pool, cap, steps
         self.everything, self.vectors, self.truth = everything, vectors, truth
         self.index = {s: i for i, s in enumerate(pool)}
-        self.best: Optional[dict[Statement, _Derivation]] = None
-        self.base: dict[Statement, _Derivation] = {}
-        self.grown: dict[Statement, int] = {}
+        self.best: dict[Statement, Optional[_Derivation]] = {}
         self.entries: dict[Statement, Optional[_Derivation]] = {}
-        self.premises: dict[tuple, list[Statement]] = {}
-        self.within: dict[tuple, bool] = {}
-        if steps <= _GROWN_STEPS:
+        if steps <= _SHAPED_STEPS:
             self.rules = _keep_rules(pool, everything, vectors)
             self.entailed_pool = [s for s in pool if self._entails(s)]
             # each right-spine suffix of an axiom, under its conclusion
@@ -875,62 +837,42 @@ class _Search:
                     ax = ax.right
 
     def entry(self, goal: Statement) -> Optional[_Derivation]:
-        """The goal's best derivation, or None if the saturation has none."""
+        """The goal's best derivation, or None if the search has none."""
         if self.vectors[self.index[goal]] != self.everything:
             return None
-        if self.steps > _GROWN_STEPS:
-            if self.best is None:
-                self._run(_base_derivations(
-                    self.axioms, self.pool, self.cap, self.everything, self.vectors))
-        else:
-            size = len(self.base)
-            self._grow(goal, self.steps)
-            if self.best is None or len(self.base) > size:
-                self._run(sorted(self.base.values(), key=self._order))
-        return self.best.get(goal)
+        if goal not in self.best:
+            if self.steps > _SHAPED_STEPS:
+                best = _saturate(_base_derivations(
+                    self.axioms, self.pool, self.cap, self.everything, self.vectors), self.steps)
+                self.best = {s: best.get(s) for s in self.pool}
+            else:
+                self.best[goal] = self._least(goal)
+        return self.best[goal]
 
-    def _run(self, base: list[_Derivation]) -> None:
-        best = _saturate(base, self.steps)
-        self.best = {s: best[s] for s in self.pool if s in best}
-
-    def _order(self, d: _Derivation) -> tuple:
-        """The position the full base gives d."""
-        if d.kind == "axiom":
-            return (-1, d.axiom_index)
-        return (d.schema_index, *map(self.index.__getitem__, d.values))
-
-    def _grow(self, s: Statement, j: int) -> None:
-        """Add to the base every entry a derivation of s in at most j steps can
-        use: s itself if it is an entry, else the premises of s that can be
-        derived in at most j-1 steps, grown in turn."""
-        if self.grown.get(s, 0) >= j:
-            return
-        self.grown[s] = j
-        d = self._entry_of(s)
-        if d is not None:
-            self.base[s] = d
-        elif j >= 3:
-            for f in self._premises(s, j == 3):
-                if self._within(f, j - 1) and self._within(f.left, j - 1):
-                    self._grow(f, j - 1)
-                    self._grow(f.left, j - 1)
-
-    def _within(self, s: Statement, j: int) -> bool:
-        """False only if s has no derivation of at most j steps."""
-        if self._entry_of(s) is not None:
-            return True
-        if j < 3:
-            return False
-        if (s, j) not in self.within:
-            self.within[s, j] = any(
-                self._within(f, j - 1) and self._within(f.left, j - 1)
-                for f in self._premises(s, j == 3)
-            )
-        return self.within[s, j]
+    def _least(self, s: Statement) -> Optional[_Derivation]:
+        """The least derivation of s of one, three or four steps, by its shape."""
+        entry = self._entry_of(s)
+        if entry is not None or self.steps < 3:
+            return entry if self.steps >= 1 else None
+        least = None
+        for f in self._premises(s):
+            fd, xd = self._entry_of(f), self._entry_of(f.left)
+            if self.steps >= 4 and fd is None and xd is not None:
+                via = self._entry_of(Implies(f.left, f))
+                fd = via and _modus_ponens(via, xd)
+            elif self.steps >= 4 and xd is None and fd is not None:
+                via = self._entry_of(Implies(f, f.left))
+                xd = via and _modus_ponens(via, fd)
+            if fd is not None and xd is not None:
+                cand = _modus_ponens(fd, xd)
+                if least is None or cand.key < least.key or (
+                        cand.key == least.key and _tie(cand) < _tie(least)):
+                    least = cand
+        return least
 
     def _entry_of(self, s: Statement) -> Optional[_Derivation]:
-        """The derivation the full base gives s: its first axiom, else its
-        first kept instance in ``SCHEMAS`` order; None if s is no entry."""
+        """s's entry: its first axiom, else its first kept instance within the
+        cap in ``SCHEMAS`` order; None if s is no entry."""
         if s not in self.entries:
             d = None
             if s in self.axioms:
@@ -956,14 +898,12 @@ class _Search:
         return self.cap is None or const + sum(
             c * values[v]._len for v, c in coeffs.items()) <= self.cap
 
-    def _premises(self, s: Statement, whole: bool) -> list[Statement]:
-        """Every implication (x->s) with x entailed that can enter the
-        saturation: a suffix of an axiom, or of a kept instance that fits the
-        cap (with ``whole``, only the axioms and instances themselves)."""
-        if (s, whole) in self.premises:
-            return self.premises[s, whole]
+    def _premises(self, s: Statement) -> list[Statement]:
+        """Every implication (x->s) with x entailed and not s that can enter a
+        derivation: a suffix of an axiom, or of a kept instance that fits the
+        cap."""
         found = dict.fromkeys(f for f in self.suffixes.get(s, ()) if self._entails(f.left))
-        for schema, match, build, free, sure in _suffix_patterns(type(s), whole):
+        for schema, match, build, free, sure in _suffixes():
             values = match(s)
             if values is None or not all(map(self.index.__contains__, values.values())):
                 continue
@@ -977,15 +917,15 @@ class _Search:
                 x = build(values)
                 if sure or self._entails(x):
                     found[Implies(x, s)] = None
-        self.premises[s, whole] = list(found)
-        return self.premises[s, whole]
+        found.pop(Implies(s, s), None)  # s cannot be a premise of itself
+        return list(found)
 
     def _entails(self, s: Statement) -> bool:
         return self.truth(s) == self.everything
 
 
-# the step bound up to which a saturation reads only the goals' relevant sets
-_GROWN_STEPS = 4
+# the step bound up to which a search builds each goal's derivation by its shape
+_SHAPED_STEPS = 4
 
 # searches shared by every goal and theory that read the same inputs: the key
 # is (axiom statements, pool, step bound, effective cap)

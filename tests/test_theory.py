@@ -291,6 +291,23 @@ def test_engine_agrees_with_oracle_small(std_world, std_cost, axioms):
         assert engine == oracle, render(s)
 
 
+def test_proof_does_not_depend_on_the_order_of_the_axioms(std_world, std_cost):
+    # D has the four-step proof ((B->D)->B), (B->D), B, D; the shorter
+    # derivation of B from ((B&A)->B) and (B&A) takes five steps with (B->D)
+    orders = (["((B->D)->B)", "(B->D)", "(B&A)"], ["(B&A)", "(B->D)", "((B->D)->B)"])
+    proofs = []
+    for axioms in orders:
+        theory = theory_with(std_world, std_cost, axioms)
+        axiom_stmts = [a.statement for a in theory.axioms.admitted]
+        assert oracle_provable(Atom("D"), axiom_stmts, theory.budget, std_cost,
+                               theory.length_cap())
+        proof = prove(theory, Atom("D"))
+        assert proof is not None
+        proofs.append((proof.cost, [render(s.statement) for s in proof.steps]))
+    assert proofs[0] == proofs[1]
+    assert proofs[0][1] == ["(B->D)", "((B->D)->B)", "B", "D"]
+
+
 # --- soundness -----------------------------------------------------------------------
 
 def test_soundness_clean_fixture(std_world, std_cost):
@@ -439,6 +456,7 @@ def fresh_searches(monkeypatch):
 
 @pytest.mark.parametrize("rich_first", [False, True])
 def test_budget_is_not_in_the_search_key(std_world, rich_first, fresh_searches):
+    import resbound.theory as theory_mod
     from resbound import CostParameters
 
     # every expression pays a base of 100 once: N(200) = 100 and N(400) = 300
@@ -453,10 +471,12 @@ def test_budget_is_not_in_the_search_key(std_world, rich_first, fresh_searches):
     assert proofs[id(poor)] is None
     assert proofs[id(rich)] is not None
     assert proofs[id(rich)].cost == vec(316, 316, 316, 316)
-    assert fresh_searches == [2]  # one saturation of A and (A->B)
+    assert len(theory_mod._saturations) == 1  # one search over A and (A->B)
 
 
 def test_binding_cap_is_in_the_search_key(std_world, std_cost, fresh_searches):
+    import resbound.theory as theory_mod
+
     # N([8,8,8,8]) = 7 admits (A&B) but not the instance ((A&B)->A) that the
     # proof of A needs; the ample theory admits the same axiom and has a proof
     ample = theory_with(std_world, std_cost, ["(A&B)"])
@@ -465,8 +485,8 @@ def test_binding_cap_is_in_the_search_key(std_world, std_cost, fresh_searches):
     assert ample.axioms.admitted == capped.axioms.admitted
     assert prove(ample, Atom("A")) is not None
     assert prove(capped, Atom("A")) is None
-    # (A&B) and ((A&B)->A); without that instance nothing can derive A
-    assert fresh_searches == [2, 0]
+    # the caps differ, so the pools and the searches do
+    assert len(theory_mod._saturations) == 2
 
 
 def _answers(theory, goals):
@@ -495,7 +515,7 @@ def test_standard_t0_after_t8_answers_as_alone(monkeypatch):
     assert ("A", True) in alone
 
 
-def test_lattice_on_standard_runs_73_saturations(tmp_path, fresh_searches):
+def test_lattice_on_standard_keeps_72_searches(tmp_path, fresh_searches):
     import resbound.theory as theory_mod
     from resbound.cli import main
 
@@ -503,14 +523,10 @@ def test_lattice_on_standard_runs_73_saturations(tmp_path, fresh_searches):
         ["--scenario", "fixtures/standard.scn", "--command", "lattice", "--out", str(tmp_path)]
     )
     assert code == 0
-    # the six grid points that admit the same axioms share every search; one
-    # goal adds to the base of its pool's search, which saturates again
-    assert len(fresh_searches) == 73
+    # the six grid points that admit the same axioms share every search, and
+    # at step bound 4 no search saturates
     assert len(theory_mod._saturations) == 72
-    # the bases end with 60 axioms and 54 instances; every kept instance over
-    # each pool made 142 axioms and 84,427 instances, the full product 165,124
-    assert sum(fresh_searches) == 115
-    assert sum(len(s.base) for s in theory_mod._saturations.values()) == 114
+    assert fresh_searches == []
 
 
 def test_goals_with_one_pool_share_a_saturation(monkeypatch, fresh_searches):
@@ -665,19 +681,54 @@ def _search(axioms, goal, cap, steps):
     return pool, search_cap, _Search(axioms, pool, search_cap, steps, *_truth_vectors(axioms, pool))
 
 
+def _least_by_shape(axioms, pool, cap, steps, goal):
+    """The least (key, sorted renderings) derivation of the goal in one, three
+    or four steps over the full-product base, found by scanning every entry."""
+    from resbound.theory import _Derivation
+
+    base = {d.statement: d for d in _full_product_base(axioms, pool, cap)}
+
+    def mp(fd, xd):
+        nodes = fd.nodes | xd.nodes | {fd.statement.right}
+        return _Derivation(fd.statement.right, "mp",
+                           (len(nodes), sum(len(render(n)) for n in nodes)),
+                           premises=(fd, xd), nodes=nodes)
+
+    if steps < 1:
+        return None
+    if goal in base:
+        return base[goal]
+    found = []
+    for s, d in base.items():
+        # s as f = (x->goal), with x an entry or derived from (f->x) and f
+        if isinstance(s, Implies) and s.right == goal and s.left != goal:
+            if s.left in base and steps >= 3:
+                found.append(mp(d, base[s.left]))
+            if Implies(s, s.left) in base and steps >= 4:
+                found.append(mp(d, mp(base[Implies(s, s.left)], d)))
+        # s as x, with f = (x->goal) derived from (x->f) and x
+        f = Implies(s, goal)
+        if s != goal and Implies(s, f) in base and steps >= 4:
+            found.append(mp(mp(base[Implies(s, f)], d), d))
+    return min(found, key=lambda d: (d.key, sorted(render(n) for n in d.nodes)), default=None)
+
+
 def test_searched_entry_is_the_full_products():
     import random
 
     from resbound.theory import _saturate
 
-    # step bounds 3-8 cover both bases: the goal's grown set up to 4 steps,
-    # every kept instance above
+    # up to four steps the goal's entry must be the least derivation of its
+    # shape over every instance; above, the saturation of every instance
     found = {True: 0, False: 0}
     # D has a four-step proof through B from ((B->D)->B); a shorter derivation
-    # of B from (B&A) ends it unless (B->D) meets the first one earlier, so
-    # the order of the axioms decides whether the saturation finds it
-    cases = [(tuple(map(parse, axioms)), Atom("D"), None, 4) for axioms in (
-        ["((B->D)->B)", "(B->D)", "(B&A)"], ["(B&A)", "(B->D)", "((B->D)->B)"])]
+    # of B from (B&A) makes five steps with (B->D), so a search that joins
+    # only B's best derivation finds it or not by the order of the axioms;
+    # A is its own premise in the three-step derivation of A from (A->A) and
+    # ((A->A)->A); the first premise pair found for D is not the least
+    cases = [(tuple(map(parse, axioms)), Atom(goal), None, 4) for axioms, goal in (
+        (["((B->D)->B)", "(B->D)", "(B&A)"], "D"), (["(B&A)", "(B->D)", "((B->D)->B)"], "D"),
+        (["(A->A)", "((A->A)->A)"], "A"), (["((A&B)->D)", "(A&B)", "(A->D)", "A"], "D"))]
     drawn = zip(_random_theories(random.Random(13), 200), itertools.cycle(range(3, 9)))
     cases += [(axioms, goal, cap, steps) for (axioms, goal, cap, _), steps in drawn]
     for axioms, goal, cap, steps in cases:
@@ -685,14 +736,16 @@ def test_searched_entry_is_the_full_products():
         root = search.entry(goal)
         if search.vectors[pool.index(goal)] != search.everything:
             assert root is None  # nothing is built for a goal the axioms do not entail
-            assert search.best is None
+            assert search.best == {} and search.entries == {}
             continue
-        best = _saturate(_full_product_base(axioms, pool, search_cap), steps)
-        reference = best.get(goal)
+        if steps <= 4:
+            reference = _least_by_shape(axioms, pool, search_cap, steps, goal)
+        else:
+            reference = _saturate(_full_product_base(axioms, pool, search_cap), steps).get(goal)
         assert (root and _entry(root)) == (reference and _entry(reference)), (
             [render(a) for a in axioms], render(goal), cap, steps)
         found[steps <= 4] += root is not None
-    assert found == {True: 19, False: 41}
+    assert found == {True: 22, False: 41}
 
 
 @pytest.mark.parametrize("steps", [3, 4, 7])
@@ -719,22 +772,7 @@ def test_goals_of_a_pool_in_any_order_prove_as_alone(monkeypatch, std_world, std
         assert [shared[i] for i in range(len(goals))] == alone
 
 
-def test_goals_saturate_again_only_when_they_add_to_the_base(monkeypatch, fresh_searches):
-    import resbound.theory as theory_mod
-
-    # at four steps E needs K and (K->E); M also needs (E->M) but has no proof
-    # within four steps; V adds nothing, (K&V) has a pool of its own and an
-    # empty base, and the axiom K is already in the base
-    goals = [Atom("E"), Atom("M"), Atom("V"), parse("(K&V)"), Atom("K")]
-    shared = [prove(chain_theory(100000, "KEMV", 4), g) for g in goals]
-    assert fresh_searches == [2, 3, 0]
-    assert [p is not None for p in shared] == [True, False, False, False, True]
-    for g, proof in zip(goals, shared):
-        monkeypatch.setattr(theory_mod, "_saturations", {})
-        assert prove(chain_theory(100000, "KEMV", 4), g) == proof
-
-
-def test_step_bound_selects_the_base(monkeypatch, std_world, std_cost):
+def test_step_bound_selects_the_base(monkeypatch, std_world, std_cost, fresh_searches):
     import resbound.theory as theory_mod
 
     built = []
@@ -745,7 +783,7 @@ def test_step_bound_selects_the_base(monkeypatch, std_world, std_cost):
         theory = theory_with(std_world, std_cost, ["A", "(A->B)"], steps=steps)
         assert prove(theory, Atom("B")) is not None
         assert prove(theory, Atom("A")) is not None
-        assert len(built) == builds
+        assert len(built) == len(fresh_searches) == builds
 
 
 def test_chain_base_leaves_out_what_cannot_fire(monkeypatch):
