@@ -3,6 +3,9 @@
 Extension runs up the componentwise order: a bigger budget admits every
 axiom the smaller one admits, allows every formula it allows, and affords
 every proof it affords, so theorem sets grow monotonically along edges.
+The middle step needs delta_e = 0 or two budgets with the same time
+component: maintenance is paid for the whole time budget, so with
+delta_e > 0 more time and no more energy can shrink N(r).
 """
 
 from __future__ import annotations

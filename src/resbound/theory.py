@@ -12,9 +12,8 @@ longer proofs pay superlinear energy.
 
 Schema metavariables range over the subformula closure of the admitted
 axioms and the goal, plus the negations of those subformulas, capped at N(r).
-Up to a step bound of four the search is exhaustive: a goal with no
-derivation has none within those bounds.  The budget is checked on the least
-derivation only.
+Up to a step bound of four the search is exhaustive: a goal has a proof
+within the budget and those bounds exactly when ``prove`` returns one.
 
 A search reads only the admitted axiom statements (in order), the step
 bound, an effective cap and the goal's instantiation pool.  The effective cap
@@ -25,16 +24,22 @@ it derives from them under modus ponens within the step bound.  One cache,
 keyed on those inputs, serves every goal and theory that agree on them, such
 as the links of a chain or the grid points of a lattice whose theories admit
 the same axioms, and keeps only the pool's derivations: every goal lies in
-its own pool.  A goal the axioms do not entail has no derivation, since modus
-ponens over tautologies and the axioms derives only what they entail; it is
-refused before anything is built for it.  The budget enters only afterwards.
-Nothing is kept per theory: a repeated request re-links its proof from the
-shared root, which costs one linearization.
+its own pool.  The budget enters only afterwards.  Nothing is kept per
+theory: a repeated request re-links its proof from the shared root, which
+costs one linearization.
 
-Up to a step bound of four, the search builds the goal's least derivation
-directly.  Derivations are ordered by (node count, total rendered length of
-the nodes), then by the sorted renderings of the nodes, and a node set fixes
-its derivation.  A derivation of s is s's entry, one step and never beaten,
+A goal is refused before anything is built for it unless at most (k+1)//2
+axioms, one fewer if it is no axiom or right-spine suffix of one, entail it;
+the truth vectors decide.  Else no derivation fits the step bound k: every
+node but the goal is cited by a modus ponens, which cites two distinct nodes,
+so e entries (axioms and instances) take at least 2e-1 nodes.  Instances are
+tautologies, so the axioms among the entries entail the goal; and modus
+ponens over axioms derives only them and their right-spine suffixes.
+
+At every step bound the search builds the goal's derivations of up to four
+steps directly.  Derivations are ordered by (node count, total rendered
+length of the nodes), then by the sorted renderings of the nodes, and a node
+set fixes its derivation.  A derivation of s is s's entry, one step and never beaten,
 or modus ponens on f = (x->s) and x, x not s, which takes at least three
 steps.  Within four steps that leaves three shapes:
 
@@ -47,15 +52,20 @@ steps.  Within four steps that leaves three shapes:
 The f's a shape can use are right-spine suffixes (x->s), x entailed, of the
 axioms and of the kept instances within the cap; the search finds them by
 matching s against the templates' suffixes and an index of the axioms',
-without enumerating instances.  The result depends neither on the order of
-the axioms nor on the goals asked before.
+without enumerating instances.  Any other derivation of at most four steps
+has a superset of one's nodes, and costs no less.  So ``prove`` tries them in
+(key, renderings) order, one per node set, s's entry alone if s has one, and
+takes the first whose cheapest order fits r.  The result depends neither on
+the order of the axioms nor on the goals asked before.
 
-Above four steps the search saturates the axioms, then every kept instance in
-``itertools.product`` order per schema: each statement keeps the least
-candidate formed from its premises' current values.  That joins only each
-premise's best derivation, so it can miss one within the bound whose premises
-share nodes, depending on the order of the axioms; there a missing proof
-means only that the saturation found none.
+Above four steps, a goal none of whose shaped derivations fits r tries one
+more: once per search, the search saturates the axioms, then every kept
+instance in ``itertools.product`` order per schema, and each statement keeps
+the least candidate formed from its premises' current values.  That joins
+only each premise's best derivation, so it can miss one within the bound whose
+premises share nodes.  Only these goals' answers depend on the order of the
+axioms, and for them a missing proof means only that the saturation found
+none.
 
 A search takes as entries only the schema instances that can change a
 derivation it keeps.  An instance I = (X->Y) matters only if I is in the
@@ -104,7 +114,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import MalformedCode, StatementTooLong
 from .expressions import Alphabet, CostParameters, Expression, expression_cost, max_length
@@ -527,7 +537,8 @@ def _truth_vectors(
     """The truth vector of each pool statement: the bitmask of the valuations
     of the atoms in play that satisfy every axiom and make it true.  Also the
     vector of all those valuations, which an entailed statement has, and the
-    function giving the vector of any statement over those atoms."""
+    function giving any statement's unmasked vector over those atoms: the
+    valuations that make it true, whether or not they satisfy the axioms."""
     names = sorted(set().union(*map(atoms_of, (*axioms, *pool))))
     rows = 1 << len(names)
     full = (1 << rows) - 1
@@ -549,7 +560,25 @@ def _truth_vectors(
         return vector[s]
 
     everything = functools.reduce(int.__and__, map(of, axioms), full)
-    return everything, [of(s) & everything for s in pool], lambda s: of(s) & everything
+    return everything, [of(s) & everything for s in pool], of
+
+
+def _reaches(
+    axioms: tuple[Statement, ...], goal: Statement, steps: int, of: Callable[[Statement], int]
+) -> bool:
+    """Whether at most (steps+1)//2 axioms, one fewer unless the goal is an
+    axiom or a right-spine suffix of one, entail the goal (``of`` gives
+    unmasked vectors); if not, no derivation fits the step bound."""
+
+    def on_spine(s: Statement) -> bool:
+        return s == goal or isinstance(s, Implies) and on_spine(s.right)
+
+    size = min((steps + 1) // 2 - all(not on_spine(ax) for ax in axioms), len(axioms))
+    # a set entails the goal when no valuation satisfies it and falsifies the
+    # goal; a superset of an entailing set entails, so the largest sets decide
+    return size >= 0 and any(
+        functools.reduce(int.__and__, map(of, subset), of(Not(goal))) == 0
+        for subset in itertools.combinations(axioms, size))
 
 
 def _keep_rules(
@@ -806,10 +835,10 @@ def _suffixes() -> list[tuple]:
 
 
 class _Search:
-    """One cached search: the pool's truth vectors and the best derivation of
-    each pool statement asked for.  Up to the step bound ``_SHAPED_STEPS`` it
-    builds each goal's least derivation from its shape; above it, it saturates
-    every kept instance once."""
+    """One cached search: the pool's truth vectors and the candidate
+    derivations of each pool statement asked for, built from their shapes;
+    above the step bound ``_SHAPED_STEPS`` also a saturation of every kept
+    instance, run once, when a goal first needs it."""
 
     def __init__(
         self,
@@ -824,37 +853,47 @@ class _Search:
         self.axioms, self.pool, self.cap, self.steps = axioms, pool, cap, steps
         self.everything, self.vectors, self.truth = everything, vectors, truth
         self.index = {s: i for i, s in enumerate(pool)}
-        self.best: dict[Statement, Optional[_Derivation]] = {}
+        # per goal asked for: its shaped derivations, or None if out of reach
+        self.shaped: dict[Statement, Optional[list[_Derivation]]] = {}
         self.entries: dict[Statement, Optional[_Derivation]] = {}
-        if steps <= _SHAPED_STEPS:
-            self.rules = _keep_rules(pool, everything, vectors)
-            self.entailed_pool = [s for s in pool if self._entails(s)]
-            # each right-spine suffix of an axiom, under its conclusion
-            self.suffixes: dict[Statement, dict[Statement, None]] = {}
-            for ax in axioms:
-                while isinstance(ax, Implies):
-                    self.suffixes.setdefault(ax.right, {})[ax] = None
-                    ax = ax.right
+        self.saturation: Optional[dict[Statement, _Derivation]] = None
+        self.rules = _keep_rules(pool, everything, vectors)
+        self.entailed_pool = [s for s in pool if self._entails(s)]
+        # each right-spine suffix of an axiom, under its conclusion
+        self.suffixes: dict[Statement, dict[Statement, None]] = {}
+        for ax in axioms:
+            while isinstance(ax, Implies):
+                self.suffixes.setdefault(ax.right, {})[ax] = None
+                ax = ax.right
 
-    def entry(self, goal: Statement) -> Optional[_Derivation]:
-        """The goal's best derivation, or None if the search has none."""
-        if self.vectors[self.index[goal]] != self.everything:
-            return None
-        if goal not in self.best:
-            if self.steps > _SHAPED_STEPS:
+    def derivations(self, goal: Statement) -> Iterator[_Derivation]:
+        """The goal's candidate derivations in the order ``prove`` tries them,
+        none if ``_reaches`` refuses it: its shaped ones, least first, then
+        above ``_SHAPED_STEPS`` the saturation's unless a shaped one has its
+        node set."""
+        if goal not in self.shaped:
+            reaches = _reaches(self.axioms, goal, self.steps, self.truth)
+            self.shaped[goal] = self._shaped(goal) if reaches else None
+        shaped = self.shaped[goal]
+        if shaped is None:
+            return
+        yield from shaped
+        if self.steps > _SHAPED_STEPS:
+            if self.saturation is None:
                 best = _saturate(_base_derivations(
                     self.axioms, self.pool, self.cap, self.everything, self.vectors), self.steps)
-                self.best = {s: best.get(s) for s in self.pool}
-            else:
-                self.best[goal] = self._least(goal)
-        return self.best[goal]
+                self.saturation = {s: best[s] for s in self.pool if s in best}
+            last = self.saturation.get(goal)
+            if last is not None and all(d.nodes != last.nodes for d in shaped):
+                yield last
 
-    def _least(self, s: Statement) -> Optional[_Derivation]:
-        """The least derivation of s of one, three or four steps, by its shape."""
+    def _shaped(self, s: Statement) -> list[_Derivation]:
+        """s's derivations of one, three or four steps by their shapes, one per
+        node set, in (key, ``_tie``) order: s's entry alone if it has one."""
         entry = self._entry_of(s)
         if entry is not None or self.steps < 3:
-            return entry if self.steps >= 1 else None
-        least = None
+            return [entry] if entry is not None and self.steps >= 1 else []
+        found: dict[frozenset[Statement], _Derivation] = {}
         for f in self._premises(s):
             fd, xd = self._entry_of(f), self._entry_of(f.left)
             if self.steps >= 4 and fd is None and xd is not None:
@@ -865,10 +904,8 @@ class _Search:
                 xd = via and _modus_ponens(via, fd)
             if fd is not None and xd is not None:
                 cand = _modus_ponens(fd, xd)
-                if least is None or cand.key < least.key or (
-                        cand.key == least.key and _tie(cand) < _tie(least)):
-                    least = cand
-        return least
+                found.setdefault(cand.nodes, cand)
+        return sorted(found.values(), key=lambda d: (d.key, _tie(d)))
 
     def _entry_of(self, s: Statement) -> Optional[_Derivation]:
         """s's entry: its first axiom, else its first kept instance within the
@@ -921,7 +958,7 @@ class _Search:
         return list(found)
 
     def _entails(self, s: Statement) -> bool:
-        return self.truth(s) == self.everything
+        return self.everything & ~self.truth(s) == 0
 
 
 # the step bound up to which a search builds each goal's derivation by its shape
@@ -933,7 +970,8 @@ _saturations: dict[tuple, _Search] = {}
 
 
 def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> Optional[Proof]:
-    """A cheapest found proof of ``goal`` within the budget, or None."""
+    """The cheapest order of the first candidate derivation of ``goal`` that
+    fits the budget, or None."""
     cap = theory.length_cap()
     if cap is not None and rendered_length(goal) > cap:
         raise StatementTooLong(render(goal))
@@ -946,12 +984,15 @@ def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> O
     search = _saturations.get(key)
     if search is None:
         everything, vectors, truth = _truth_vectors(axioms, pool)
-        if vectors[pool.index(goal)] != everything:
+        if not _reaches(axioms, goal, steps, truth):
             return None
         search = _Search(axioms, pool, search_cap, steps, everything, vectors, truth)
         _saturations[key] = search
-    root = search.entry(goal)
-    return _linearize(theory, root) if root is not None else None
+    for root in search.derivations(goal):
+        proof = _linearize(theory, root)
+        if proof is not None:
+            return proof
+    return None
 
 
 def is_theorem(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> bool:

@@ -275,6 +275,36 @@ def test_criterion_06_oracle_equivalence():
     report(6, f"oracle equivalence on {checked} statements", elapsed, bound)
 
 
+def test_oracle_equivalence_at_binding_budgets():
+    # criterion 6 at budgets of 20 to 70 per component, where N(r) and the
+    # price of a proof bind: D's least derivation from ((A&(A&B))->D) and
+    # (A&(A&B)) costs 48, its four-step one through (B->D) and ((B->D)->B) 38
+    from resbound.statements import parse
+
+    rng = random.Random(2)
+    world = random_truth_world((True, True, True), names=("A", "B", "D"))
+    texts = ["A", "B", "(A->B)", "(B->D)", "((B->D)->B)", "(A&(A&B))", "((A&(A&B))->D)",
+             "(D->A)"]
+    goals = enumerate_statements(world.atoms(), 3)
+    checked = 0
+    for _ in range(40):
+        axioms = rng.sample(texts, rng.randint(3, 6))
+        budget = vec(*(rng.randint(20, 70) for _ in range(4)))
+        cost = CostParameters.uniform(4, delta=1, delta_e=rng.choice([0, Fraction(1, 10)]))
+        theory = build_theory(budget, tuple(AxiomCandidate(parse(t)) for t in axioms), world,
+                              cost, max_proof_steps=4)
+        cap = theory.length_cap()
+        axiom_stmts = [a.statement for a in theory.axioms.admitted]
+        for s in goals:
+            if cap is not None and len(render(s)) > cap:
+                continue
+            engine = is_theorem(theory, s, 4)
+            assert engine == oracle_provable(s, axiom_stmts, budget, cost, cap), (
+                axioms, budget.to_strings(), render(s))
+            checked += 1
+    assert checked >= 300
+
+
 def test_criterion_07_reflection():
     bound = 10.0
     start = time.monotonic()

@@ -189,3 +189,47 @@ def test_lattice_on_standard_builds_each_theorem_set_once(tmp_path, monkeypatch)
     # the theorem counts in lattice_points.csv
     assert len(budgets) == 9
     assert len(set(budgets)) == 9
+
+
+def test_a_richer_grid_point_keeps_a_theorem_its_least_derivation_cannot_pay(tmp_path):
+    import json
+
+    from resbound.cli import main
+
+    # at the lower point A cannot be decided, so only (B->D) and ((B->D)->B)
+    # are admitted and D has its four-step proof for 38; the upper point
+    # admits all four axioms, and D's least derivation there, through
+    # (A&(A&B)), costs 48, over the budget, while the four-step one still fits
+    def decider(atom, cost):
+        return {"id": f"p{atom}", "equipment": [], "instructions": atom,
+                "implementation_cost": cost, "output": {"atom": atom},
+                "declared_purpose": {"kind": "determine_truth", "statement": atom}}
+
+    deciders = [decider("A", ["1", "1", "100", "1"]), decider("B", ["1"] * 4),
+                decider("D", ["1"] * 4)]
+    scenario = {
+        "schema_version": 1,
+        "dimension": 1,
+        "alphabet": "ABD()!&|->_01",
+        "cost_model": {"delta": ["1"] * 4, "delta_e": "0"},
+        "world": {
+            "ground_truth": {"A": True, "B": True, "D": True},
+            "equipment": [],
+            "procedures": deciders,
+            "true_purposes": {p["id"]: p["declared_purpose"] for p in deciders},
+        },
+        "axioms": [{"statement": s, "justification": "verified"}
+                   for s in ("((A&(A&B))->D)", "(A&(A&B))", "(B->D)", "((B->D)->B)")],
+        "budget": ["45", "45", "45", "45"],
+        "grid": [["45", "45", "45", "45"], ["45", "45", "300", "45"]],
+        "statements": ["D"],
+        "prove": ["D"],
+        "search": {"max_steps": 4, "size_bound": 3},
+    }
+    path = tmp_path / "two_points.scn"
+    path.write_text(json.dumps(scenario))
+    for command in ("lattice", "check"):
+        out = tmp_path / command
+        assert main(["--scenario", str(path), "--command", command, "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "check" / "check_report.json").read_text())
+    assert report["lattice_monotonicity"] == {"edges_checked": 1, "violations": []}

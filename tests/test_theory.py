@@ -308,6 +308,44 @@ def test_proof_does_not_depend_on_the_order_of_the_axioms(std_world, std_cost):
     assert proofs[0][1] == ["(B->D)", "((B->D)->B)", "B", "D"]
 
 
+def _three_true_atoms_theory(axioms, budget, steps=4):
+    """A theory over A, B and D, all true, each decided for 1 per component,
+    priced at delta 1 and delta_e 0."""
+    from tests_support_random_world import random_truth_world
+
+    world = random_truth_world((True, True, True), names=("A", "B", "D"))
+    cost = CostParameters.uniform(4, delta=1, delta_e=0)
+    candidates = tuple(AxiomCandidate(parse(t)) for t in axioms)
+    return build_theory(budget, candidates, world, cost, steps)
+
+
+def test_a_longer_derivation_that_fits_the_budget_is_taken():
+    # the least derivation of D, ((A&(A&B))->D), (A&(A&B)), D, costs 48; the
+    # four-step one through B costs 38, so [45,45,45,45] affords only that
+    axioms = ["((A&(A&B))->D)", "(A&(A&B))", "(B->D)", "((B->D)->B)"]
+    for budget, cost, steps in [(45, 38, ["(B->D)", "((B->D)->B)", "B", "D"]),
+                                (48, 48, ["((A&(A&B))->D)", "(A&(A&B))", "D"])]:
+        theory = _three_true_atoms_theory(axioms, vec(budget, budget, budget, budget))
+        assert oracle_provable(Atom("D"), [a.statement for a in theory.axioms.admitted],
+                               theory.budget, theory.cost_params, theory.length_cap())
+        proof = prove(theory, Atom("D"))
+        assert proof is not None and not check_proof(theory, proof)
+        assert proof.cost == vec(cost, cost, cost, cost)
+        assert sorted(render(s.statement) for s in proof.steps) == sorted(steps)
+
+
+@pytest.mark.parametrize("steps", [4, 5, 6, 7])
+def test_a_larger_step_bound_keeps_a_four_step_theorem(steps):
+    # a saturation above four steps derives D in five steps through
+    # ((B&A)->B) for 42, over the budget; the four-step proof costs 38
+    axioms = ["(B&A)", "(B->D)", "((B->D)->B)"]
+    theory = _three_true_atoms_theory(axioms, vec(40, 40, 40, 40), steps)
+    proof = prove(theory, Atom("D"))
+    assert proof is not None
+    assert proof.cost == vec(38, 38, 38, 38)
+    assert [render(s.statement) for s in proof.steps] == ["((B->D)->B)", "(B->D)", "B", "D"]
+
+
 # --- soundness -----------------------------------------------------------------------
 
 def test_soundness_clean_fixture(std_world, std_cost):
@@ -515,7 +553,7 @@ def test_standard_t0_after_t8_answers_as_alone(monkeypatch):
     assert ("A", True) in alone
 
 
-def test_lattice_on_standard_keeps_72_searches(tmp_path, fresh_searches):
+def test_lattice_on_standard_keeps_48_searches(tmp_path, fresh_searches):
     import resbound.theory as theory_mod
     from resbound.cli import main
 
@@ -523,9 +561,11 @@ def test_lattice_on_standard_keeps_72_searches(tmp_path, fresh_searches):
         ["--scenario", "fixtures/standard.scn", "--command", "lattice", "--out", str(tmp_path)]
     )
     assert code == 0
-    # the six grid points that admit the same axioms share every search, and
-    # at step bound 4 no search saturates
-    assert len(theory_mod._saturations) == 72
+    # the six grid points that admit the same axioms share every search, at
+    # step bound 4 no search saturates, and the 24 entailed goals with pools
+    # of their own that need more than four steps, such as (A&B) and !!B from
+    # A and (A->B), are refused before a search is built
+    assert len(theory_mod._saturations) == 48
     assert fresh_searches == []
 
 
@@ -533,24 +573,25 @@ def test_goals_with_one_pool_share_a_saturation(monkeypatch, fresh_searches):
     import resbound.theory as theory_mod
 
     # E, M and V are subformulas of the axioms, so their pools are the axioms'
-    # pool; (K&V) adds itself and its negation to the pool
-    goals = [Atom("E"), Atom("M"), Atom("V"), parse("(K&V)")]
+    # pool; (K&M) adds itself and its negation to the pool, and its least
+    # derivation takes eight steps; E has a shaped proof and saturates nothing
+    goals = [Atom("E"), Atom("M"), Atom("V"), parse("(K&M)")]
     shared = [prove(chain_theory(100000, "KEMV", 7), g) for g in goals]
     assert len(fresh_searches) == 2
     alone = []
     for g in goals:
         monkeypatch.setattr(theory_mod, "_saturations", {})
         alone.append(prove(chain_theory(100000, "KEMV", 7), g))
-    assert len(fresh_searches) == 6
+    assert len(fresh_searches) == 5
     assert shared == alone
     assert [p is not None for p in shared] == [True, True, True, False]
 
 
 def test_goals_between_others_of_their_pool_reuse_its_saturation(fresh_searches):
-    # (K&V) has a pool of its own and comes between E and M, which share the
-    # axioms' pool: the saturation E ran is still there when M asks for it
+    # (K&M) has a pool of its own and comes between M and V, which share the
+    # axioms' pool: the saturation M ran is still there when V asks for it
     theory = chain_theory(100000, "KEMV", 7)
-    proofs = [prove(theory, g) for g in (Atom("E"), parse("(K&V)"), Atom("M"))]
+    proofs = [prove(theory, g) for g in (Atom("M"), parse("(K&M)"), Atom("V"))]
     assert [p is not None for p in proofs] == [True, False, True]
     assert len(fresh_searches) == 2
 
@@ -681,12 +722,12 @@ def _search(axioms, goal, cap, steps):
     return pool, search_cap, _Search(axioms, pool, search_cap, steps, *_truth_vectors(axioms, pool))
 
 
-def _least_by_shape(axioms, pool, cap, steps, goal):
+def _least_by_shape(full_base, steps, goal):
     """The least (key, sorted renderings) derivation of the goal in one, three
     or four steps over the full-product base, found by scanning every entry."""
     from resbound.theory import _Derivation
 
-    base = {d.statement: d for d in _full_product_base(axioms, pool, cap)}
+    base = {d.statement: d for d in full_base}
 
     def mp(fd, xd):
         nodes = fd.nodes | xd.nodes | {fd.statement.right}
@@ -718,8 +759,10 @@ def test_searched_entry_is_the_full_products():
 
     from resbound.theory import _saturate
 
-    # up to four steps the goal's entry must be the least derivation of its
-    # shape over every instance; above, the saturation of every instance
+    # the goal's first candidate must be the least derivation of its shape
+    # over every instance, else above four steps the saturation of every
+    # instance; that saturation is the last candidate unless a shaped one has
+    # its node set
     found = {True: 0, False: 0}
     # D has a four-step proof through B from ((B->D)->B); a shorter derivation
     # of B from (B&A) makes five steps with (B->D), so a search that joins
@@ -733,19 +776,78 @@ def test_searched_entry_is_the_full_products():
     cases += [(axioms, goal, cap, steps) for (axioms, goal, cap, _), steps in drawn]
     for axioms, goal, cap, steps in cases:
         pool, search_cap, search = _search(axioms, goal, cap, steps)
-        root = search.entry(goal)
-        if search.vectors[pool.index(goal)] != search.everything:
-            assert root is None  # nothing is built for a goal the axioms do not entail
-            assert search.best == {} and search.entries == {}
+        derivations = list(search.derivations(goal))
+        full_base = _full_product_base(axioms, pool, search_cap)
+        shaped = _least_by_shape(full_base, min(steps, 4), goal)
+        saturated = _saturate(full_base, steps).get(goal) if steps > 4 else None
+        if search.shaped[goal] is None:
+            # nothing is built for a goal out of reach, and it has no derivation
+            assert search.entries == {} and search.saturation is None
+            assert shaped is None and saturated is None
+            continue
+        first = shaped or saturated
+        assert (derivations and _entry(derivations[0]) or None) == (first and _entry(first)), (
+            [render(a) for a in axioms], render(goal), cap, steps)
+        if saturated is not None and saturated.nodes not in {d.nodes for d in derivations[:-1]}:
+            assert _entry(derivations[-1]) == _entry(saturated)
+        found[steps <= 4] += bool(derivations)
+    assert found == {True: 22, False: 41}
+
+
+def _chain_theories(rng, count):
+    """(axioms, goal, step bound 3 to 7) over A to D: a chain X0, (X0->X1),
+    ... over two to four atoms and up to two more axioms, in random order, and
+    a goal that is an atom or joins two; such goals often need many axioms."""
+    def draw(kinds):
+        kind = rng.choice(kinds)
+        if kind is Atom:
+            return Atom(rng.choice("ABCD"))
+        return kind(Atom(rng.choice("ABCD")), Atom(rng.choice("ABCD")))
+
+    for _ in range(count):
+        names = rng.sample("ABCD", rng.randint(2, 4))
+        axioms = [Atom(names[0]), *(Implies(Atom(a), Atom(b)) for a, b in zip(names, names[1:]))]
+        axioms += [draw((Atom, Implies, And)) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(axioms)
+        yield tuple(axioms), draw((Atom, And, And, Or, Implies)), rng.randint(3, 7)
+
+
+def test_goals_out_of_reach_have_no_derivation():
+    import random
+
+    from resbound import CostParameters
+    from resbound.theory import _reaches, _saturate
+
+    # an entailed goal the bound refuses has no derivation: no proof of up to
+    # four steps, as the oracle says, and none that a saturation of every
+    # instance finds above four steps
+    cost = CostParameters.uniform(4, delta=1, delta_e=0)
+    refused = {"shaped": 0, "saturated": 0}
+    for axioms, goal, steps in _chain_theories(random.Random(29), 150):
+        pool, _, search = _search(axioms, goal, None, steps)
+        if search.vectors[pool.index(goal)] != search.everything or _reaches(
+                axioms, goal, steps, search.truth):
             continue
         if steps <= 4:
-            reference = _least_by_shape(axioms, pool, search_cap, steps, goal)
+            refused["shaped"] += 1
+            assert not oracle_provable(goal, list(axioms), AMPLE, cost, None)
         else:
-            reference = _saturate(_full_product_base(axioms, pool, search_cap), steps).get(goal)
-        assert (root and _entry(root)) == (reference and _entry(reference)), (
-            [render(a) for a in axioms], render(goal), cap, steps)
-        found[steps <= 4] += root is not None
-    assert found == {True: 22, False: 41}
+            refused["saturated"] += 1
+            assert _saturate(_full_product_base(axioms, pool, None), steps).get(goal) is None
+    assert refused == {"shaped": 21, "saturated": 12}
+
+
+@pytest.mark.parametrize("length", [2, 3, 5, 7])
+def test_chain_conjunction_past_the_step_bound_builds_nothing(length, fresh_searches):
+    import resbound.theory as theory_mod
+
+    # (X0&XL) needs all L+1 axioms, the conjunction instance and 2L+4 steps;
+    # XL alone has its 2L+1
+    chain = _CHAIN[: length + 1]
+    theory = chain_theory(100000, chain, 2 * length + 1)
+    assert prove(theory, parse(f"({chain[0]}&{chain[-1]})")) is None
+    assert fresh_searches == [] and theory_mod._saturations == {}
+    assert prove(theory, Atom(chain[-1])) is not None
 
 
 @pytest.mark.parametrize("steps", [3, 4, 7])
@@ -778,11 +880,13 @@ def test_step_bound_selects_the_base(monkeypatch, std_world, std_cost, fresh_sea
     built = []
     full = theory_mod._base_derivations
     monkeypatch.setattr(theory_mod, "_base_derivations", lambda *a: built.append(1) or full(*a))
+    # B has a three-step proof by its shape, D a five-step one only the
+    # saturation finds, and up to four steps the bound refuses D
     for steps, builds in [(3, 0), (4, 0), (5, 1), (8, 2)]:
         monkeypatch.setattr(theory_mod, "_saturations", {})
-        theory = theory_with(std_world, std_cost, ["A", "(A->B)"], steps=steps)
+        theory = theory_with(std_world, std_cost, ["A", "(A->B)", "(B->D)"], steps=steps)
         assert prove(theory, Atom("B")) is not None
-        assert prove(theory, Atom("A")) is not None
+        assert (prove(theory, Atom("D")) is not None) == (steps >= 5)
         assert len(built) == len(fresh_searches) == builds
 
 
