@@ -71,3 +71,7 @@ class ScenarioError(ResboundError):
     def __init__(self, problems: list[str]):
         super().__init__("; ".join(problems))
         self.problems = list(problems)
+
+
+class SearchTooLarge(ResboundError):
+    code = "search-too-large"

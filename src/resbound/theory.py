@@ -12,21 +12,18 @@ longer proofs pay superlinear energy.
 
 Schema metavariables range over the subformula closure of the admitted
 axioms and the goal, plus the negations of those subformulas, capped at N(r).
-Up to a step bound of four the search is exhaustive: a goal has a proof
-within the budget and those bounds exactly when ``prove`` returns one.
+Up to a limit on its size (below) the search is exhaustive: a goal has a
+proof within the budget and those bounds exactly when ``prove`` returns one.
 
 A search reads only the admitted axiom statements (in order), the step
-bound, an effective cap and the goal's instantiation pool.  The effective cap
-is N(r), or unbounded once N(r) reaches the longest instance any schema can
-form over the uncapped closure, where the cap prunes nothing.  Its entries
-are the axioms and the kept schema instances over the pool (see below), and
-it derives from them under modus ponens within the step bound.  One cache,
-keyed on those inputs, serves every goal and theory that agree on them, such
-as the links of a chain or the grid points of a lattice whose theories admit
-the same axioms, and keeps only the pool's derivations: every goal lies in
-its own pool.  The budget enters only afterwards.  Nothing is kept per
-theory: a repeated request re-links its proof from the shared root, which
-costs one linearization.
+bound, the goal's instantiation pool and an effective cap: N(r), or none
+once N(r) reaches the longest instance any schema can form over the uncapped
+closure.  Its entries are the axioms and the kept schema instances over the
+pool (see below).  One cache, keyed on those inputs, serves every goal and
+theory that agree on them, such as the links of a chain or the grid points
+of a lattice that admit the same axioms, and keeps each goal's candidate
+derivations found so far.  The budget enters only afterwards: a repeated
+request costs one linearization.
 
 A goal is refused before anything is built for it unless at most (k+1)//2
 axioms, one fewer if it is no axiom or right-spine suffix of one, entail it;
@@ -36,43 +33,42 @@ so e entries (axioms and instances) take at least 2e-1 nodes.  Instances are
 tautologies, so the axioms among the entries entail the goal; and modus
 ponens over axioms derives only them and their right-spine suffixes.
 
-At every step bound the search builds the goal's derivations of up to four
-steps directly.  Derivations are ordered by (node count, total rendered
-length of the nodes), then by the sorted renderings of the nodes, and a node
-set fixes its derivation.  A derivation of s is s's entry, one step and never beaten,
-or modus ponens on f = (x->s) and x, x not s, which takes at least three
-steps.  Within four steps that leaves three shapes:
+``prove`` tries derivations by (node count, total rendered length of the
+nodes), then the sorted renderings of the nodes, one per node set, and takes
+the first whose cheapest order fits r.  A derivation of s is s's entry, one
+step and never beaten, or modus ponens on f = (x->s) and x, x not s.  The f's
+are right-spine suffixes (x->s), x entailed, of the axioms and of the kept
+instances within the cap, found by matching s against the templates'
+suffixes and an index of the axioms', without enumerating instances.  Up to
+four steps that leaves three shapes, built directly: s is an entry (one
+step); f and x are entries (three); or f is an entry and x comes from the
+entry (f->x) and f, or the other way round (four).  Any other derivation of
+at most four steps has a superset of one's nodes.
 
-- one step: s is an entry;
-- three: f and x are entries;
-- four: f is an entry and x comes from the entry (f->x) and f, or x is an
-  entry and f comes from the entry (x->f) and x (a premise of three steps
-  that shares no node with the other makes five).
-
-The f's a shape can use are right-spine suffixes (x->s), x entailed, of the
-axioms and of the kept instances within the cap; the search finds them by
-matching s against the templates' suffixes and an index of the axioms',
-without enumerating instances.  Any other derivation of at most four steps
-has a superset of one's nodes, and costs no less.  So ``prove`` tries them in
-(key, renderings) order, one per node set, s's entry alone if s has one, and
-takes the first whose cheapest order fits r.  The result depends neither on
-the order of the axioms nor on the goals asked before.
-
-Above four steps, a goal none of whose shaped derivations fits r tries one
-more: once per search, the search saturates the axioms, then every kept
-instance in ``itertools.product`` order per schema, and each statement keeps
-the least candidate formed from its premises' current values.  That joins
-only each premise's best derivation, so it can miss one within the bound whose
-premises share nodes.  Only these goals' answers depend on the order of the
-axioms, and for them a missing proof means only that the saturation found
-none.
+Above four steps an A* search (Hart, Nilsson & Raphael, IEEE Trans. SSC 4(2),
+1968) runs over partial derivations.  A state is a node set N holding the
+goal, and the nodes of N not yet justified.  An entry is justified as one
+when it joins N, as deriving it keeps N or grows it; the search expands the
+first open node t by each f = (x->t), adding f and x to N.  With i the
+instances in N, or 1 if a node of N is neither an axiom nor a right-spine
+suffix of one, and a the axioms in N, or the least number that entail the
+goal if more, a state's bound is max(|N|, 2(i+a)-1): the refusal argument
+applied to N, and at the root the refusal test.  It never falls as N grows
+and is |N| once nothing is open, so no completion sorts below the state's
+(bound, total rendered length of N, sorted renderings of N), and complete
+derivations leave a heap ordered by those in exactly ``prove``'s order.  The
+search prunes a state whose bound exceeds k, skips a cyclic derivation or a
+node set already yielded, and gives up with ``SearchTooLarge`` after
+``_MAX_STATES`` states.  So at every step bound the node sets ``prove``
+tries, and their order, depend neither on the order of the axioms nor on
+the goals asked before.
 
 A search takes as entries only the schema instances that can change a
-derivation it keeps.  An instance I = (X->Y) matters only if I is in the
-pool, if X can enter a derivation, or if an implication with antecedent I
-can.  What enters is entailed by the axioms, and it is an axiom, a schema
-instance over the pool, or what modus ponens leaves of one by stripping
-leading antecedents.  A truth vector per pool statement, the bitmask of the
+derivation.  An instance I = (X->Y) matters only if I is in the pool, if X
+can enter a derivation, or if an implication with antecedent I can.  What
+enters is entailed by the axioms, and it is an axiom, a schema instance over
+the pool, or what modus ponens leaves of one by stripping leading
+antecedents.  A truth vector per pool statement, the bitmask of the
 valuations that satisfy every axiom and make it true, decides entailment
 (inconsistent axioms entail everything, so then every instance is kept).
 With P the pool, an instance is kept when:
@@ -89,14 +85,8 @@ With P the pool, an instance is kept when:
   left of a pool statement, an axiom (whose subformulas are in P) or a
   weakening instance, or of an instance whose antecedent is compound.
 
-The answers do not change.  In a shape every entry is the goal, or has an
-antecedent in the derivation (f, (f->x) and (x->f)), or is the antecedent of
-an implication in it (x and f).  In a saturation an instance left out would
-enter with one step and is never beaten; when taken off the queue it finds
-no antecedent for modus ponens, and nothing ever looks it up.  Dropping it
-therefore leaves every other entry, candidate and tie, and the queue order,
-as they were; should modus ponens derive it after all, it is just as inert,
-and it is not in the pool, whose entries are all that is kept.
+The answers do not change: every entry of a derivation is the goal, or an
+f whose antecedent is in it, or an x that is the antecedent of an f in it.
 
 Linearization is exact: among the orders that put premises before conclusions
 and the goal last, it takes the one with the least maintenance energy, the
@@ -108,15 +98,14 @@ alphabet.
 
 from __future__ import annotations
 
-import bisect
 import functools
+import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
 
-from .errors import MalformedCode, StatementTooLong
+from .errors import MalformedCode, SearchTooLarge, StatementTooLong
 from .expressions import Alphabet, CostParameters, Expression, expression_cost, max_length
 from .resources import ResourceVector
 from .statements import (
@@ -499,13 +488,6 @@ def _source(t: Statement, names: dict[str, str]) -> str:
     return f"{type(t).__name__}({_source(t.left, names)}, {_source(t.right, names)})"
 
 
-def _constructor(schema: Schema):
-    """A function from the metavariables' values, in order, to the instance:
-    the template compiled once into nested constructor calls."""
-    params = {var: f"v{i}" for i, var in enumerate(schema.metavars)}
-    return eval(f"lambda {', '.join(params.values())}: {_source(schema.template, params)}", _SCOPE)
-
-
 @functools.cache
 def _matcher(template: Statement):
     """A function from a statement to the metavariable values that make the
@@ -528,9 +510,6 @@ def _matcher(template: Statement):
     return eval(f"lambda s: {{{values}}} if {' and '.join(tests) or 'True'} else None", _SCOPE)
 
 
-_CONSTRUCTORS = [_constructor(schema) for schema in SCHEMAS]
-
-
 def _truth_vectors(
     axioms: tuple[Statement, ...], pool: list[Statement]
 ) -> tuple[int, list[int], Callable[[Statement], int]]:
@@ -542,9 +521,9 @@ def _truth_vectors(
     names = sorted(set().union(*map(atoms_of, (*axioms, *pool))))
     rows = 1 << len(names)
     full = (1 << rows) - 1
+    # atom i is true in the upper half of each block of 2 << i valuations
     vector = {
-        Atom(name): sum(1 << v for v in range(rows) if v >> i & 1)
-        for i, name in enumerate(names)
+        Atom(name): full // ((1 << (1 << i)) + 1) << (1 << i) for i, name in enumerate(names)
     }
 
     def of(s: Statement) -> int:
@@ -563,22 +542,26 @@ def _truth_vectors(
     return everything, [of(s) & everything for s in pool], of
 
 
-def _reaches(
+def _least_axioms(
     axioms: tuple[Statement, ...], goal: Statement, steps: int, of: Callable[[Statement], int]
-) -> bool:
-    """Whether at most (steps+1)//2 axioms, one fewer unless the goal is an
-    axiom or a right-spine suffix of one, entail the goal (``of`` gives
-    unmasked vectors); if not, no derivation fits the step bound."""
+) -> Optional[int]:
+    """The fewest axioms that entail the goal (``of`` gives unmasked vectors),
+    or None above (steps+1)//2, one fewer unless the goal is an axiom or a
+    right-spine suffix of one: no derivation within the step bound has more."""
 
     def on_spine(s: Statement) -> bool:
         return s == goal or isinstance(s, Implies) and on_spine(s.right)
 
-    size = min((steps + 1) // 2 - all(not on_spine(ax) for ax in axioms), len(axioms))
-    # a set entails the goal when no valuation satisfies it and falsifies the
-    # goal; a superset of an entailing set entails, so the largest sets decide
-    return size >= 0 and any(
-        functools.reduce(int.__and__, map(of, subset), of(Not(goal))) == 0
-        for subset in itertools.combinations(axioms, size))
+    def entailing(size: int) -> bool:
+        # a set entails the goal when no valuation satisfies it and falsifies it
+        return any(functools.reduce(int.__and__, map(of, subset), of(Not(goal))) == 0
+                   for subset in itertools.combinations(axioms, size))
+
+    most = min((steps + 1) // 2 - all(not on_spine(ax) for ax in axioms), len(axioms))
+    # a superset of an entailing set entails, so the largest sets decide refusal
+    if most < 0 or not entailing(most):
+        return None
+    return next(size for size in range(most + 1) if entailing(size))
 
 
 def _keep_rules(
@@ -586,7 +569,7 @@ def _keep_rules(
 ) -> dict[str, Callable[..., int]]:
     """Per schema name, a function from the pool indices of every metavariable
     but the last to the bitmask of pool indices the last may take: the
-    instances that can change an entry of the saturation."""
+    instances that can change a derivation."""
     n = len(pool)
     anything = (1 << n) - 1
     index = {s: i for i, s in enumerate(pool)}
@@ -633,104 +616,12 @@ def _keep_rules(
     }
 
 
-def _base_derivations(
-    axioms: tuple[Statement, ...],
-    pool: list[Statement],
-    cap: Optional[int],
-    everything: int,
-    vectors: list[int],
-) -> list[_Derivation]:
-    """The axioms, then the kept schema instances over the pool that fit the
-    cap, in itertools.product order per schema; a statement met again is
-    skipped."""
-    out: list[_Derivation] = []
-    seen: set[Statement] = set()
-    for idx, ax in enumerate(axioms):
-        if ax in seen:
-            continue
-        seen.add(ax)
-        out.append(
-            _Derivation(
-                ax, "axiom", (1, rendered_length(ax)), axiom_index=idx, nodes=frozenset({ax})
-            )
-        )
-    lens = [rendered_length(p) for p in pool]
-    rules = _keep_rules(pool, everything, vectors)
-    for schema, build in zip(SCHEMAS, _CONSTRUCTORS):
-        const, coeff_map = _SCHEMA_SHAPES[schema.index]
-        *head, last = [coeff_map[v] for v in schema.metavars]
-        keep = rules[schema.name]
-        for prefix in itertools.product(range(len(pool)), repeat=len(head)):
-            allowed = keep(*prefix)
-            if cap is not None:
-                room = cap - const - sum(c * lens[i] for c, i in zip(head, prefix))
-                allowed &= (1 << bisect.bisect_right(lens, room // last)) - 1
-            values = tuple(pool[i] for i in prefix)
-            while allowed:
-                low = allowed & -allowed
-                allowed ^= low
-                combo = (*values, pool[low.bit_length() - 1])
-                inst = build(*combo)
-                if inst in seen:
-                    continue
-                seen.add(inst)
-                out.append(
-                    _Derivation(
-                        inst,
-                        "schema",
-                        (1, rendered_length(inst)),
-                        schema_index=schema.index,
-                        values=combo,
-                        nodes=frozenset({inst}),
-                    )
-                )
-    return out
-
-
 def _modus_ponens(fd: _Derivation, xd: _Derivation) -> _Derivation:
     """The derivation of s from those of f = (x->s) and x."""
     s = fd.statement.right
     nodes = fd.nodes | xd.nodes | {s}
     return _Derivation(s, "mp", (len(nodes), sum(rendered_length(n) for n in nodes)),
                        premises=(fd, xd), nodes=nodes)
-
-
-def _saturate(base: list[_Derivation], max_steps: int) -> dict[Statement, _Derivation]:
-    best: dict[Statement, _Derivation] = {}
-    ante_index: dict[Statement, list[Statement]] = {}
-    indexed: set[Statement] = set()
-    queue: deque[Statement] = deque()
-
-    def try_mp(f_stmt: Statement) -> None:
-        fd = best.get(f_stmt)
-        xd = best.get(f_stmt.left)
-        if fd is None or xd is None:
-            return
-        cand = _modus_ponens(fd, xd)
-        cur = best.get(cand.statement)
-        if cand.key[0] > max_steps or cur is not None and (
-                cur.key < cand.key or cur.key == cand.key and _tie(cur) <= _tie(cand)):
-            return
-        best[cand.statement] = cand
-        queue.append(cand.statement)
-
-    for d in base:
-        if d.key[0] > max_steps:
-            continue
-        cur = best.get(d.statement)
-        if cur is None or d.key < cur.key or (d.key == cur.key and _tie(d) < _tie(cur)):
-            best[d.statement] = d
-            queue.append(d.statement)
-    while queue:
-        stmt = queue.popleft()
-        if isinstance(stmt, Implies):
-            if stmt not in indexed:
-                indexed.add(stmt)
-                ante_index.setdefault(stmt.left, []).append(stmt)
-            try_mp(stmt)
-        for f_stmt in ante_index.get(stmt, ()):
-            try_mp(f_stmt)
-    return best
 
 
 def _chosen_subdag(root: _Derivation) -> dict[Statement, _Derivation]:
@@ -835,10 +726,8 @@ def _suffixes() -> list[tuple]:
 
 
 class _Search:
-    """One cached search: the pool's truth vectors and the candidate
-    derivations of each pool statement asked for, built from their shapes;
-    above the step bound ``_SHAPED_STEPS`` also a saturation of every kept
-    instance, run once, when a goal first needs it."""
+    """One cached search: the pool's truth vectors and, per goal asked for,
+    its candidate derivations found so far and an iterator of the rest."""
 
     def __init__(
         self,
@@ -851,12 +740,12 @@ class _Search:
         truth: Callable[[Statement], int],
     ):
         self.axioms, self.pool, self.cap, self.steps = axioms, pool, cap, steps
-        self.everything, self.vectors, self.truth = everything, vectors, truth
+        self.everything, self.truth = everything, truth
         self.index = {s: i for i, s in enumerate(pool)}
-        # per goal asked for: its shaped derivations, or None if out of reach
-        self.shaped: dict[Statement, Optional[list[_Derivation]]] = {}
+        # per goal asked for: its candidates so far and the rest, or None if out of reach
+        self.found: dict[Statement, Optional[tuple[list, Iterator[_Derivation]]]] = {}
         self.entries: dict[Statement, Optional[_Derivation]] = {}
-        self.saturation: Optional[dict[Statement, _Derivation]] = None
+        self.premises: dict[Statement, list[Statement]] = {}
         self.rules = _keep_rules(pool, everything, vectors)
         self.entailed_pool = [s for s in pool if self._entails(s)]
         # each right-spine suffix of an axiom, under its conclusion
@@ -865,27 +754,88 @@ class _Search:
             while isinstance(ax, Implies):
                 self.suffixes.setdefault(ax.right, {})[ax] = None
                 ax = ax.right
+        self.spine = set(axioms) | set(self.suffixes)
 
     def derivations(self, goal: Statement) -> Iterator[_Derivation]:
         """The goal's candidate derivations in the order ``prove`` tries them,
-        none if ``_reaches`` refuses it: its shaped ones, least first, then
-        above ``_SHAPED_STEPS`` the saturation's unless a shaped one has its
-        node set."""
-        if goal not in self.shaped:
-            reaches = _reaches(self.axioms, goal, self.steps, self.truth)
-            self.shaped[goal] = self._shaped(goal) if reaches else None
-        shaped = self.shaped[goal]
-        if shaped is None:
+        none if ``_least_axioms`` refuses it."""
+        if goal not in self.found:
+            least = _least_axioms(self.axioms, goal, self.steps, self.truth)
+            self.found[goal] = None if least is None else ([], iter(self._shaped(goal)) if (
+                self.steps <= _SHAPED_STEPS) else self._astar(goal, least))
+        if self.found[goal] is None:
             return
-        yield from shaped
-        if self.steps > _SHAPED_STEPS:
-            if self.saturation is None:
-                best = _saturate(_base_derivations(
-                    self.axioms, self.pool, self.cap, self.everything, self.vectors), self.steps)
-                self.saturation = {s: best[s] for s in self.pool if s in best}
-            last = self.saturation.get(goal)
-            if last is not None and all(d.nodes != last.nodes for d in shaped):
-                yield last
+        found, more = self.found[goal]
+        yield from found
+        try:
+            for d in more:
+                found.append(d)
+                yield d
+        except SearchTooLarge:
+            del self.found[goal]  # so a repeated request gives up again
+            raise
+
+    def _astar(self, goal: Statement, least: int) -> Iterator[_Derivation]:
+        """The goal's derivations within the step bound, one per node set, in
+        (key, ``_tie``) order.  A state is its node set, its open nodes, (t, f)
+        per node t derived from f = (x->t) and x, its instances and axioms,
+        whether a node is off the axioms' spines, and its total length."""
+        heap: list[tuple] = []
+        tick = itertools.count()  # equal keys leave in the order they came
+        yielded: set[frozenset[Statement]] = set()
+
+        def push(nodes, open_, derived, instances, axioms, off, length, new) -> None:
+            """Push the state with the nodes ``new`` added, unless it is pruned."""
+            for n in new:
+                d = self._entry_of(n)
+                if d is None:
+                    open_ += (n,)
+                elif d.kind == "axiom":
+                    axioms += 1
+                else:
+                    instances += 1
+                off = off or n not in self.spine
+                length += n._len
+            nodes = nodes.union(new)
+            bound = max(len(nodes), 2 * (max(instances, off) + max(axioms, least)) - 1)
+            if bound <= self.steps:
+                heapq.heappush(heap, (bound, length, sorted(map(render, nodes)), next(tick),
+                                      nodes, open_, derived, instances, axioms, off))
+
+        push(frozenset(), (), (), 0, 0, False, 0, [goal])
+        for _ in range(_MAX_STATES):
+            if not heap:
+                return
+            _, length, _, _, nodes, open_, derived, *counts = heapq.heappop(heap)
+            if open_:
+                t, rest = open_[0], open_[1:]
+                for f in self._premises(t):
+                    new = [n for n in (f, f.left) if n not in nodes]
+                    if len(nodes) + len(new) <= self.steps:
+                        push(nodes, rest, (*derived, (t, f)), *counts, length, new)
+            elif nodes not in yielded:
+                root = self._linked(goal, dict(derived))
+                if root is not None:
+                    yielded.add(nodes)
+                    yield root
+        if heap:
+            raise SearchTooLarge(f"the search for {render(goal)} popped {_MAX_STATES} states, "
+                                 f"its limit of {_MAX_STATES}")
+
+    def _linked(self, goal: Statement, derived: dict[Statement, Statement]) -> Optional[_Derivation]:
+        """The goal's derivation with each node t in ``derived`` from its f =
+        (x->t) and x and every other node an entry; None if it is cyclic."""
+        made: dict[Statement, Optional[_Derivation]] = {}
+
+        def link(t: Statement, depth: int) -> Optional[_Derivation]:
+            if t not in derived:
+                return self._entry_of(t)
+            if t not in made and depth < len(derived):
+                fd, xd = link(derived[t], depth + 1), link(derived[t].left, depth + 1)
+                made[t] = fd and xd and _modus_ponens(fd, xd)
+            return made.get(t)
+
+        return link(goal, 0)
 
     def _shaped(self, s: Statement) -> list[_Derivation]:
         """s's derivations of one, three or four steps by their shapes, one per
@@ -939,6 +889,8 @@ class _Search:
         """Every implication (x->s) with x entailed and not s that can enter a
         derivation: a suffix of an axiom, or of a kept instance that fits the
         cap."""
+        if s in self.premises:
+            return self.premises[s]
         found = dict.fromkeys(f for f in self.suffixes.get(s, ()) if self._entails(f.left))
         for schema, match, build, free, sure in _suffixes():
             values = match(s)
@@ -955,7 +907,8 @@ class _Search:
                 if sure or self._entails(x):
                     found[Implies(x, s)] = None
         found.pop(Implies(s, s), None)  # s cannot be a premise of itself
-        return list(found)
+        self.premises[s] = list(found)
+        return self.premises[s]
 
     def _entails(self, s: Statement) -> bool:
         return self.everything & ~self.truth(s) == 0
@@ -964,9 +917,12 @@ class _Search:
 # the step bound up to which a search builds each goal's derivation by its shape
 _SHAPED_STEPS = 4
 
+# the most states ``_Search._astar`` pops for one goal before it gives up
+_MAX_STATES = 20_000
+
 # searches shared by every goal and theory that read the same inputs: the key
 # is (axiom statements, pool, step bound, effective cap)
-_saturations: dict[tuple, _Search] = {}
+_searches: dict[tuple, _Search] = {}
 
 
 def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> Optional[Proof]:
@@ -981,13 +937,13 @@ def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> O
     search_cap = _effective_cap(closure, cap)
     pool = _instantiation_pool(closure, search_cap)
     key = (axioms, tuple(pool), steps, search_cap)
-    search = _saturations.get(key)
+    search = _searches.get(key)
     if search is None:
         everything, vectors, truth = _truth_vectors(axioms, pool)
-        if not _reaches(axioms, goal, steps, truth):
+        if _least_axioms(axioms, goal, steps, truth) is None:
             return None
         search = _Search(axioms, pool, search_cap, steps, everything, vectors, truth)
-        _saturations[key] = search
+        _searches[key] = search
     for root in search.derivations(goal):
         proof = _linearize(theory, root)
         if proof is not None:

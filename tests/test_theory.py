@@ -336,14 +336,34 @@ def test_a_longer_derivation_that_fits_the_budget_is_taken():
 
 @pytest.mark.parametrize("steps", [4, 5, 6, 7])
 def test_a_larger_step_bound_keeps_a_four_step_theorem(steps):
-    # a saturation above four steps derives D in five steps through
-    # ((B&A)->B) for 42, over the budget; the four-step proof costs 38
+    # a five-step derivation of D through ((B&A)->B) costs 42, over the
+    # budget; the four-step proof costs 38
     axioms = ["(B&A)", "(B->D)", "((B->D)->B)"]
     theory = _three_true_atoms_theory(axioms, vec(40, 40, 40, 40), steps)
     proof = prove(theory, Atom("D"))
     assert proof is not None
     assert proof.cost == vec(38, 38, 38, 38)
     assert [render(s.statement) for s in proof.steps] == ["((B->D)->B)", "(B->D)", "B", "D"]
+
+
+@pytest.mark.parametrize("steps", [6, 7])
+def test_proof_above_four_steps_does_not_depend_on_the_order_of_the_axioms(steps):
+    from tests_support_random_world import random_truth_world
+
+    # C takes six steps, through the four-step proof of D from ((B->D)->B)
+    # and (B->D); joining only B's least derivation, from (B&A), takes seven
+    world = random_truth_world((True, True, True, True))
+    cost = CostParameters.uniform(4, delta=1, delta_e=0)
+    proofs = []
+    for axioms in (["((B->D)->B)", "(B->D)", "(B&A)", "(D->C)"],
+                   ["(B&A)", "(B->D)", "((B->D)->B)", "(D->C)"]):
+        theory = build_theory(AMPLE, tuple(AxiomCandidate(parse(t)) for t in axioms), world,
+                              cost, steps)
+        proof = prove(theory, Atom("C"))
+        assert proof is not None
+        proofs.append((proof.cost, [render(s.statement) for s in proof.steps]))
+    assert proofs[0] == proofs[1]
+    assert sorted(proofs[0][1]) == ["((B->D)->B)", "(B->D)", "(D->C)", "B", "C", "D"]
 
 
 # --- soundness -----------------------------------------------------------------------
@@ -385,6 +405,25 @@ def test_step_bound_applies_to_one_step_proofs(std_world, std_cost):
     theory = theory_with(std_world, std_cost, ["A", "(A->B)"])
     assert is_theorem(theory, Atom("A"), 1)
     assert not is_theorem(theory, Atom("A"), 0)
+
+
+def test_a_search_past_its_state_limit_fails_fast(std_world, std_cost):
+    import resbound.theory as theory_mod
+    from resbound.cli import _proof_payload
+    from resbound.errors import SearchTooLarge
+
+    # the axioms are inconsistent, so they entail every statement and
+    # entailment prunes no state: the search gives up instead of trying them all
+    candidates = tuple(AxiomCandidate(parse(t), Justification.POSTULATED) for t in ["!(A->A)", "!A"])
+    theory = build_theory(AMPLE, candidates, std_world, std_cost, 8)
+    assert len(theory.axioms.admitted) == 2
+    goal = parse("((A->B)->(B->A))")
+    limit = f"popped {theory_mod._MAX_STATES} states, its limit of {theory_mod._MAX_STATES}"
+    for _ in range(2):  # a repeated request gives up again
+        with pytest.raises(SearchTooLarge, match=limit):
+            prove(theory, goal)
+    assert _proof_payload(theory, goal) == {
+        "statement": "((A->B)->(B->A))", "found": False, "reason": "search-too-large"}
 
 
 # --- exact step ordering ------------------------------------------------------------
@@ -476,20 +515,27 @@ def test_chosen_order_is_the_cheapest_of_all_orders(std_world, delta_e, axioms, 
 
 @pytest.fixture
 def fresh_searches(monkeypatch):
-    """An empty saturation cache, and the size of the base of each saturation
-    run against it."""
+    """An empty search cache, and what runs against it: the number of
+    searches built and the goal of each A* search started."""
+    import types
+
     import resbound.theory as theory_mod
 
-    monkeypatch.setattr(theory_mod, "_saturations", {})
-    calls = []
-    saturate = theory_mod._saturate
+    monkeypatch.setattr(theory_mod, "_searches", {})
+    runs = types.SimpleNamespace(built=0, searched=[])
+    build, astar = theory_mod._Search.__init__, theory_mod._Search._astar
 
-    def counted(base, max_steps):
-        calls.append(len(base))
-        return saturate(base, max_steps)
+    def built(self, *args):
+        runs.built += 1
+        build(self, *args)
 
-    monkeypatch.setattr(theory_mod, "_saturate", counted)
-    return calls
+    def searched(self, goal, least):
+        runs.searched.append(render(goal))
+        return astar(self, goal, least)
+
+    monkeypatch.setattr(theory_mod._Search, "__init__", built)
+    monkeypatch.setattr(theory_mod._Search, "_astar", searched)
+    return runs
 
 
 @pytest.mark.parametrize("rich_first", [False, True])
@@ -509,7 +555,7 @@ def test_budget_is_not_in_the_search_key(std_world, rich_first, fresh_searches):
     assert proofs[id(poor)] is None
     assert proofs[id(rich)] is not None
     assert proofs[id(rich)].cost == vec(316, 316, 316, 316)
-    assert len(theory_mod._saturations) == 1  # one search over A and (A->B)
+    assert len(theory_mod._searches) == 1  # one search over A and (A->B)
 
 
 def test_binding_cap_is_in_the_search_key(std_world, std_cost, fresh_searches):
@@ -524,7 +570,7 @@ def test_binding_cap_is_in_the_search_key(std_world, std_cost, fresh_searches):
     assert prove(ample, Atom("A")) is not None
     assert prove(capped, Atom("A")) is None
     # the caps differ, so the pools and the searches do
-    assert len(theory_mod._saturations) == 2
+    assert len(theory_mod._searches) == 2
 
 
 def _answers(theory, goals):
@@ -540,13 +586,13 @@ def test_standard_t0_after_t8_answers_as_alone(monkeypatch):
         grid = load("fixtures/standard.scn").theory_grid()
         return grid.theory_at(grid.points[0]), grid.theory_at(grid.points[-1])
 
-    monkeypatch.setattr(theory_mod, "_saturations", {})
+    monkeypatch.setattr(theory_mod, "_searches", {})
     t0, _ = grid_ends()
     assert t0.length_cap() == 3
     goals = list(enumerate_statements(t0.world.atoms(), 3))
     alone = _answers(t0, goals)
 
-    monkeypatch.setattr(theory_mod, "_saturations", {})
+    monkeypatch.setattr(theory_mod, "_searches", {})
     t0, t8 = grid_ends()
     _answers(t8, goals)
     assert _answers(t0, goals) == alone
@@ -562,41 +608,58 @@ def test_lattice_on_standard_keeps_48_searches(tmp_path, fresh_searches):
     )
     assert code == 0
     # the six grid points that admit the same axioms share every search, at
-    # step bound 4 no search saturates, and the 24 entailed goals with pools
-    # of their own that need more than four steps, such as (A&B) and !!B from
-    # A and (A->B), are refused before a search is built
-    assert len(theory_mod._saturations) == 48
-    assert fresh_searches == []
+    # step bound 4 no A* search runs, and the 24 entailed goals with pools of
+    # their own that need more than four steps, such as (A&B) and !!B from A
+    # and (A->B), are refused before a search is built
+    assert len(theory_mod._searches) == fresh_searches.built == 48
+    assert fresh_searches.searched == []
 
 
 def test_goals_with_one_pool_share_a_saturation(monkeypatch, fresh_searches):
     import resbound.theory as theory_mod
 
     # E, M and V are subformulas of the axioms, so their pools are the axioms'
-    # pool; (K&M) adds itself and its negation to the pool, and its least
-    # derivation takes eight steps; E has a shaped proof and saturates nothing
+    # pool and they share its search; (K&M) adds itself and its negation to
+    # the pool, and its least derivation takes eight steps; each goal runs its
+    # own A* search, once
     goals = [Atom("E"), Atom("M"), Atom("V"), parse("(K&M)")]
     shared = [prove(chain_theory(100000, "KEMV", 7), g) for g in goals]
-    assert len(fresh_searches) == 2
+    assert fresh_searches.built == 2
+    assert fresh_searches.searched == ["E", "M", "V", "(K&M)"]
+    # a repeated request reads the candidates found so far
+    assert [prove(chain_theory(100000, "KEMV", 7), g) for g in goals] == shared
+    assert len(fresh_searches.searched) == 4
     alone = []
     for g in goals:
-        monkeypatch.setattr(theory_mod, "_saturations", {})
+        monkeypatch.setattr(theory_mod, "_searches", {})
         alone.append(prove(chain_theory(100000, "KEMV", 7), g))
-    assert len(fresh_searches) == 5
+    assert fresh_searches.built == 6 and len(fresh_searches.searched) == 8
     assert shared == alone
     assert [p is not None for p in shared] == [True, True, True, False]
 
 
 def test_goals_between_others_of_their_pool_reuse_its_saturation(fresh_searches):
     # (K&M) has a pool of its own and comes between M and V, which share the
-    # axioms' pool: the saturation M ran is still there when V asks for it
+    # axioms' pool: the search M built is still there when V asks for it
     theory = chain_theory(100000, "KEMV", 7)
     proofs = [prove(theory, g) for g in (Atom("M"), parse("(K&M)"), Atom("V"))]
     assert [p is not None for p in proofs] == [True, False, True]
-    assert len(fresh_searches) == 2
+    assert fresh_searches.built == 2
+    assert fresh_searches.searched == ["M", "(K&M)", "V"]
 
 
-# --- schema instances the saturation can use ----------------------------------------
+# --- schema instances a search can use ----------------------------------------------
+
+def test_atom_vectors_are_the_valuations_that_make_them_true():
+    from resbound.theory import _truth_vectors
+
+    # valuation v makes the i-th atom (in name order) true when bit i of v is set
+    for n in range(13):
+        atoms = [Atom(f"P{i:02d}") for i in range(n)]
+        everything, vectors, _ = _truth_vectors((), atoms)
+        assert everything == (1 << (1 << n)) - 1
+        assert vectors == [sum(1 << v for v in range(1 << n) if v >> i & 1) for i in range(n)]
+
 
 def _full_product_base(axioms, pool, cap):
     """The axioms, then every schema instance over the pool that fits the cap,
@@ -627,6 +690,53 @@ def _full_product_base(axioms, pool, cap):
     return out
 
 
+def _least_derivations(full_base, steps):
+    """Each statement's least derivation of at most ``steps`` nodes over the
+    full-product base, as (key, sorted renderings of its nodes), by brute
+    force: every statement's node sets that hold no other node set of it,
+    closed under modus ponens.  Modus ponens on f = (x->t) and x joins a node
+    set of f, one of x and t; any derivation of t has all three inside its
+    nodes, so the least is among these."""
+    from collections import deque
+
+    sets = {}  # statement -> its node sets that hold no other
+    users = {}  # antecedent -> the implications with a node set
+    queue = deque()
+
+    def add(t, nodes):
+        family = sets.setdefault(t, [])
+        if len(nodes) <= steps and not any(n <= nodes for n in family):
+            family[:] = [n for n in family if not nodes <= n]
+            family.append(nodes)
+            queue.append((t, nodes))
+
+    for d in full_base:
+        add(d.statement, frozenset({d.statement}))
+    while queue:
+        s, nodes = queue.popleft()
+        if nodes not in sets[s]:
+            continue  # a smaller node set replaced it
+        if isinstance(s, Implies):
+            users.setdefault(s.left, {})[s] = None
+            for x_nodes in list(sets.get(s.left, ())):
+                add(s.right, nodes | x_nodes | {s.right})
+        for f in list(users.get(s, ())):
+            for f_nodes in list(sets[f]):
+                add(f.right, f_nodes | nodes | {f.right})
+    return {
+        t: min(((len(n), sum(len(render(m)) for m in n)), tuple(sorted(map(render, n))))
+               for n in family)
+        for t, family in sets.items() if family
+    }
+
+
+def _least(d):
+    """A derivation's key and sorted node renderings, or None."""
+    from resbound.theory import _tie
+
+    return d and (d.key, _tie(d))
+
+
 def _entry(root):
     """A derivation's key and chosen sub-DAG, step by step."""
     from resbound.theory import _chosen_subdag
@@ -636,11 +746,6 @@ def _entry(root):
          tuple(p.statement for p in d.premises))
         for t, d in _chosen_subdag(root).items()
     )
-
-
-def _pool_entries(best, pool):
-    """Each pool statement's key and chosen sub-DAG, step by step."""
-    return {s: _entry(best[s]) for s in pool if s in best}
 
 
 def _random_statement(rng, names, depth):
@@ -675,35 +780,32 @@ def _random_theories(rng, count):
 def test_kept_instances_saturate_like_the_full_product():
     import random
 
-    from resbound.theory import (
-        _base_derivations,
-        _closure,
-        _effective_cap,
-        _instantiation_pool,
-        _saturate,
-        _truth_vectors,
-    )
+    from resbound.errors import SearchTooLarge
 
     # every schema's instance over atoms as the goal of the empty theory: an
     # instance in the pool is kept whether or not it can fire
     atoms = {"?a": Atom("A"), "?b": Atom("B"), "?c": Atom("C")}
     pool_instances = [((), substitute(schema.template, atoms), None, 1) for schema in SCHEMAS]
     kept = full = 0
+    too_large = set()
     for axioms, goal, cap, steps in [*pool_instances, *_random_theories(random.Random(10), 40)]:
-        closure = _closure(axioms, goal)
-        search_cap = _effective_cap(closure, cap)
-        pool = _instantiation_pool(closure, search_cap)
-        base = _base_derivations(axioms, pool, search_cap, *_truth_vectors(axioms, pool)[:2])
+        pool, search_cap, search = _search(axioms, goal, cap, steps)
         reference = _full_product_base(axioms, pool, search_cap)
-        # the same derivations, in the same order, with some left out
-        steps_left = iter((d.statement, d.schema_index, d.values) for d in reference)
-        assert all((d.statement, d.schema_index, d.values) in steps_left for d in base)
-        assert _pool_entries(_saturate(base, steps), pool) == _pool_entries(
-            _saturate(reference, steps), pool
-        ), ([render(a) for a in axioms], render(goal), cap, steps)
-        kept += len(base)
+        least = _least_derivations(reference, steps)
+        # over the kept instances alone, each pool statement's first candidate
+        # is its least derivation over every instance
+        for s in pool:
+            case = ([render(a) for a in axioms], render(s), cap, steps)
+            try:
+                assert _least(next(search.derivations(s), None)) == least.get(s), case
+            except SearchTooLarge:
+                too_large.add(tuple(case[0]))
+                assert least.get(s) is None, case
+        kept += sum(search._entry_of(d.statement) is not None for d in reference)
         full += len(reference)
     assert kept < 0.6 * full
+    # inconsistent axioms, where entailment prunes nothing
+    assert too_large == {("C", "(!C&A)", "(C&(A&B))", "!(B->A)")}
 
 
 def _search(axioms, goal, cap, steps):
@@ -757,13 +859,12 @@ def _least_by_shape(full_base, steps, goal):
 def test_searched_entry_is_the_full_products():
     import random
 
-    from resbound.theory import _saturate
+    from resbound.errors import SearchTooLarge
 
-    # the goal's first candidate must be the least derivation of its shape
-    # over every instance, else above four steps the saturation of every
-    # instance; that saturation is the last candidate unless a shaped one has
-    # its node set
+    # the goal's first candidate must be its least derivation over every
+    # instance: the least of its shape up to four steps, by brute force above
     found = {True: 0, False: 0}
+    too_large = []
     # D has a four-step proof through B from ((B->D)->B); a shorter derivation
     # of B from (B&A) makes five steps with (B->D), so a search that joins
     # only B's best derivation finds it or not by the order of the axioms;
@@ -776,22 +877,27 @@ def test_searched_entry_is_the_full_products():
     cases += [(axioms, goal, cap, steps) for (axioms, goal, cap, _), steps in drawn]
     for axioms, goal, cap, steps in cases:
         pool, search_cap, search = _search(axioms, goal, cap, steps)
-        derivations = list(search.derivations(goal))
         full_base = _full_product_base(axioms, pool, search_cap)
-        shaped = _least_by_shape(full_base, min(steps, 4), goal)
-        saturated = _saturate(full_base, steps).get(goal) if steps > 4 else None
-        if search.shaped[goal] is None:
-            # nothing is built for a goal out of reach, and it has no derivation
-            assert search.entries == {} and search.saturation is None
-            assert shaped is None and saturated is None
+        case = ([render(a) for a in axioms], render(goal), cap, steps)
+        try:
+            first = next(search.derivations(goal), None)
+        except SearchTooLarge:
+            too_large.append(case)
+            assert _least_derivations(full_base, steps).get(goal) is None
             continue
-        first = shaped or saturated
-        assert (derivations and _entry(derivations[0]) or None) == (first and _entry(first)), (
-            [render(a) for a in axioms], render(goal), cap, steps)
-        if saturated is not None and saturated.nodes not in {d.nodes for d in derivations[:-1]}:
-            assert _entry(derivations[-1]) == _entry(saturated)
-        found[steps <= 4] += bool(derivations)
+        if search.found[goal] is None:
+            # nothing is built for a goal out of reach, and it has no derivation
+            assert search.entries == {} and _least_derivations(full_base, steps).get(goal) is None
+        elif steps <= 4:
+            least = _least_by_shape(full_base, steps, goal)
+            assert (first and _entry(first)) == (least and _entry(least)), case
+        else:
+            assert _least(first) == _least_derivations(full_base, steps).get(goal), case
+        found[steps <= 4] += first is not None
     assert found == {True: 22, False: 41}
+    # the axioms are inconsistent, so entailment prunes nothing, and the goal
+    # has no derivation within seven steps
+    assert too_large == [(["B", "!(A->D)", "!(D|D)", "((D&B)|D)"], "!(C&C)", None, 7)]
 
 
 def _chain_theories(rng, count):
@@ -816,25 +922,25 @@ def test_goals_out_of_reach_have_no_derivation():
     import random
 
     from resbound import CostParameters
-    from resbound.theory import _reaches, _saturate
+    from resbound.theory import _least_axioms
 
     # an entailed goal the bound refuses has no derivation: no proof of up to
-    # four steps, as the oracle says, and none that a saturation of every
-    # instance finds above four steps
+    # four steps, as the oracle says, and none that a brute-force enumeration
+    # over every instance finds above four steps
     cost = CostParameters.uniform(4, delta=1, delta_e=0)
-    refused = {"shaped": 0, "saturated": 0}
+    refused = {"oracle": 0, "enumerated": 0}
     for axioms, goal, steps in _chain_theories(random.Random(29), 150):
         pool, _, search = _search(axioms, goal, None, steps)
-        if search.vectors[pool.index(goal)] != search.everything or _reaches(
-                axioms, goal, steps, search.truth):
+        if not search._entails(goal) or _least_axioms(
+                axioms, goal, steps, search.truth) is not None:
             continue
         if steps <= 4:
-            refused["shaped"] += 1
+            refused["oracle"] += 1
             assert not oracle_provable(goal, list(axioms), AMPLE, cost, None)
         else:
-            refused["saturated"] += 1
-            assert _saturate(_full_product_base(axioms, pool, None), steps).get(goal) is None
-    assert refused == {"shaped": 21, "saturated": 12}
+            refused["enumerated"] += 1
+            assert _least_derivations(_full_product_base(axioms, pool, None), steps).get(goal) is None
+    assert refused == {"oracle": 21, "enumerated": 12}
 
 
 @pytest.mark.parametrize("length", [2, 3, 5, 7])
@@ -846,8 +952,9 @@ def test_chain_conjunction_past_the_step_bound_builds_nothing(length, fresh_sear
     chain = _CHAIN[: length + 1]
     theory = chain_theory(100000, chain, 2 * length + 1)
     assert prove(theory, parse(f"({chain[0]}&{chain[-1]})")) is None
-    assert fresh_searches == [] and theory_mod._saturations == {}
+    assert fresh_searches.built == 0 and theory_mod._searches == {}
     assert prove(theory, Atom(chain[-1])) is not None
+    assert fresh_searches.searched == [chain[-1]]
 
 
 @pytest.mark.parametrize("steps", [3, 4, 7])
@@ -864,11 +971,11 @@ def test_goals_of_a_pool_in_any_order_prove_as_alone(monkeypatch, std_world, std
     theory = theory_with(std_world, std_cost, axioms, steps=steps)
     alone = []
     for g in goals:
-        monkeypatch.setattr(theory_mod, "_saturations", {})
+        monkeypatch.setattr(theory_mod, "_searches", {})
         alone.append(prove(theory, g))
     assert sum(p is not None for p in alone) == {3: 7, 4: 9, 7: 10}[steps]
     for seed in range(3):
-        monkeypatch.setattr(theory_mod, "_saturations", {})
+        monkeypatch.setattr(theory_mod, "_searches", {})
         order = random.Random(seed).sample(range(len(goals)), len(goals))
         shared = {i: prove(theory, goals[i]) for i in order}
         assert [shared[i] for i in range(len(goals))] == alone
@@ -877,47 +984,35 @@ def test_goals_of_a_pool_in_any_order_prove_as_alone(monkeypatch, std_world, std
 def test_step_bound_selects_the_base(monkeypatch, std_world, std_cost, fresh_searches):
     import resbound.theory as theory_mod
 
-    built = []
-    full = theory_mod._base_derivations
-    monkeypatch.setattr(theory_mod, "_base_derivations", lambda *a: built.append(1) or full(*a))
-    # B has a three-step proof by its shape, D a five-step one only the
-    # saturation finds, and up to four steps the bound refuses D
-    for steps, builds in [(3, 0), (4, 0), (5, 1), (8, 2)]:
-        monkeypatch.setattr(theory_mod, "_saturations", {})
+    # B has a three-step proof by its shape, D a five-step one only the A*
+    # search finds, and up to four steps the bound refuses D; above four
+    # steps each goal runs an A* search
+    for steps, searched in [(3, []), (4, []), (5, ["B", "D"]), (8, ["B", "D"] * 2)]:
+        monkeypatch.setattr(theory_mod, "_searches", {})
         theory = theory_with(std_world, std_cost, ["A", "(A->B)", "(B->D)"], steps=steps)
         assert prove(theory, Atom("B")) is not None
         assert (prove(theory, Atom("D")) is not None) == (steps >= 5)
-        assert len(built) == len(fresh_searches) == builds
+        assert fresh_searches.searched == searched
 
 
-def test_chain_base_leaves_out_what_cannot_fire(monkeypatch):
+def test_chain_base_leaves_out_what_cannot_fire():
     import resbound.theory as theory_mod
 
     # the antecedent (K->(E->!M)) is false when every atom of the chain is
     # true, the only valuation the axioms allow, so it never enters a
-    # saturation and neither does anything this instance could give
+    # derivation and neither does anything this instance could give
     useless = parse("((K->(E->!M))->((K->E)->(K->!M)))")
     theory = chain_theory(100000, "KEMV", 7)
-    goals = sorted(theory_mod._closure(tuple(a.statement for a in theory.axioms.admitted),
-                                       Atom("K")), key=render)
-    bases = {}
-
-    def recorded(name, build):
-        def wrapper(axioms, pool, cap, everything, vectors):
-            bases[name] = build(axioms, pool, cap, everything, vectors)
-            return bases[name]
-        return wrapper
-
-    proofs = {}
-    for name, build in [
-        ("kept", theory_mod._base_derivations),
-        ("full", lambda axioms, pool, cap, *_: _full_product_base(axioms, pool, cap)),
-    ]:
-        monkeypatch.setattr(theory_mod, "_saturations", {})
-        monkeypatch.setattr(theory_mod, "_base_derivations", recorded(name, build))
-        proofs[name] = [prove(theory, g) for g in goals]
-    assert useless in {d.statement for d in bases["full"]}
-    assert useless not in {d.statement for d in bases["kept"]}
-    assert len(bases["kept"]) < len(bases["full"])
-    assert proofs["kept"] == proofs["full"]
-    assert sum(p is not None for p in proofs["kept"]) == 7  # the axioms and E, M, V
+    axioms = tuple(a.statement for a in theory.axioms.admitted)
+    goals = sorted(theory_mod._closure(axioms, Atom("K")), key=render)
+    pool, cap, search = _search(axioms, Atom("K"), None, 7)
+    full = _full_product_base(axioms, pool, cap)
+    assert useless in {d.statement for d in full}
+    assert search._entry_of(useless) is None
+    assert sum(search._entry_of(d.statement) is not None for d in full) < len(full)
+    # the kept instances alone give each goal the least derivation over all
+    least = _least_derivations(full, 7)
+    assert [_least(next(search.derivations(g), None)) for g in goals] == [
+        least.get(g) for g in goals]
+    proofs = [prove(theory, g) for g in goals]
+    assert sum(p is not None for p in proofs) == 7  # the axioms and E, M, V
