@@ -18,8 +18,8 @@ proof within the budget and those bounds exactly when ``prove`` returns one.
 A search reads only the admitted axiom statements (in order), the step
 bound, the goal's instantiation pool and an effective cap: N(r), or none
 once N(r) reaches the longest instance any schema can form over the uncapped
-closure.  Its entries are the axioms and the kept schema instances over the
-pool (see below).  One cache, keyed on those inputs, serves every goal and
+closure.  Its entries are the axioms and every schema instance over the pool
+within the cap.  One cache, keyed on those inputs, serves every goal and
 theory that agree on them, such as the links of a chain or the grid points
 of a lattice that admit the same axioms, and keeps each goal's candidate
 derivations found so far.  The budget enters only afterwards: a repeated
@@ -33,11 +33,13 @@ so e entries (axioms and instances) take at least 2e-1 nodes.  Instances are
 tautologies, so the axioms among the entries entail the goal; and modus
 ponens over axioms derives only them and their right-spine suffixes.
 
-``prove`` tries derivations by (node count, total rendered length of the
-nodes), then the sorted renderings of the nodes, one per node set, and takes
-the first whose cheapest order fits r.  A derivation of s is s's entry, one
-step and never beaten, or modus ponens on f = (x->s) and x, x not s.  The f's
-are right-spine suffixes (x->s), x entailed, of the axioms and of the kept
+A derivation is a pair (nodes, via): its node set, and for each node t it
+derives by modus ponens the f = (x->t) it takes, with x; every other node is
+an entry.  ``prove`` tries derivations by (node count, total rendered length
+of the nodes), then the sorted renderings of the nodes, one per node set, and
+takes the first whose cheapest order fits r.  A derivation of s is s's entry,
+one step and never beaten, or modus ponens on f = (x->s) and x, x not s.  The
+f's are right-spine suffixes (x->s), x entailed, of the axioms and of the
 instances within the cap, found by matching s against the templates'
 suffixes and an index of the axioms', without enumerating instances.  Up to
 four steps that leaves three shapes, built directly: s is an entry (one
@@ -62,31 +64,6 @@ node set already yielded, and gives up with ``SearchTooLarge`` after
 ``_MAX_STATES`` states.  So at every step bound the node sets ``prove``
 tries, and their order, depend neither on the order of the axioms nor on
 the goals asked before.
-
-A search takes as entries only the schema instances that can change a
-derivation.  An instance I = (X->Y) matters only if I is in the pool, if X
-can enter a derivation, or if an implication with antecedent I can.  What
-enters is entailed by the axioms, and it is an axiom, a schema instance over
-the pool, or what modus ponens leaves of one by stripping leading
-antecedents.  A truth vector per pool statement, the bitmask of the
-valuations that satisfy every axiom and make it true, decides entailment
-(inconsistent axioms entail everything, so then every instance is kept).
-With P the pool, an instance is kept when:
-
-- weakening, contraposition: always (each weakening instance is the
-  antecedent of a distribution instance that is kept);
-- and-elim-left, and-elim-right: a and b are entailed, or (a&b) is in P;
-- and-intro, or-intro-left: a is entailed, or (a&b), resp. (a|b), is in P;
-- or-intro-right: b is entailed, or (a|b) is in P;
-- or-elim: (a->c) is entailed, or (a->c) and (b->c) are in P;
-- distribution: (a->b) and (a->c) are in P, or (a->(b->c)) is entailed and
-  (b->c) is in P, c is a or (a&b), or a is a binary connective.  These are
-  the ways (a->(b->c)) can enter: as weakening, as and-intro, as what is
-  left of a pool statement, an axiom (whose subformulas are in P) or a
-  weakening instance, or of an instance whose antecedent is compound.
-
-The answers do not change: every entry of a derivation is the goal, or an
-f whose antecedent is in it, or an x that is the antecedent of an f in it.
 
 Linearization is exact: among the orders that put premises before conclusions
 and the goal last, it takes the one with the least maintenance energy, the
@@ -305,6 +282,11 @@ class Theory:
     name: str = "T"
 
     def length_cap(self) -> Optional[int]:
+        return self._length_cap
+
+    @functools.cached_property
+    def _length_cap(self) -> Optional[int]:
+        """N(r), computed once per theory."""
         return max_length(self.budget, self.cost_params)
 
     def render_expression(self, s: Statement) -> Expression:
@@ -423,23 +405,8 @@ def check_proof(theory: Theory, proof: Proof) -> list[str]:
 
 # --- proof search -------------------------------------------------------------
 
-@dataclass(eq=False, slots=True)
-class _Derivation:
-    statement: Statement
-    kind: str  # "axiom" | "schema" | "mp"
-    key: tuple  # (step count, total rendered length); renders only break ties
-    axiom_index: int = -1
-    schema_index: int = -1
-    values: tuple[Statement, ...] = ()  # a schema instance's metavariables, in order
-    premises: tuple["_Derivation", ...] = ()
-    nodes: frozenset[Statement] = frozenset()
-    tie: Optional[tuple] = None
-
-
-def _tie(d: _Derivation) -> tuple:
-    if d.tie is None:
-        d.tie = tuple(sorted(render(n) for n in d.nodes))
-    return d.tie
+# a derivation's node set, and the f = (x->t) of each node t it derives
+Derivation = tuple[frozenset[Statement], dict[Statement, Statement]]
 
 
 def _closure(axioms: tuple[Statement, ...], goal: Statement) -> set[Statement]:
@@ -512,12 +479,11 @@ def _matcher(template: Statement):
 
 def _truth_vectors(
     axioms: tuple[Statement, ...], pool: list[Statement]
-) -> tuple[int, list[int], Callable[[Statement], int]]:
-    """The truth vector of each pool statement: the bitmask of the valuations
-    of the atoms in play that satisfy every axiom and make it true.  Also the
-    vector of all those valuations, which an entailed statement has, and the
-    function giving any statement's unmasked vector over those atoms: the
-    valuations that make it true, whether or not they satisfy the axioms."""
+) -> tuple[int, Callable[[Statement], int]]:
+    """The bitmask of the valuations of the atoms in play that satisfy every
+    axiom, which an entailed statement's truth vector holds, and the function
+    giving any statement's truth vector over those atoms: the valuations that
+    make it true, whether or not they satisfy the axioms."""
     names = sorted(set().union(*map(atoms_of, (*axioms, *pool))))
     rows = 1 << len(names)
     full = (1 << rows) - 1
@@ -538,8 +504,7 @@ def _truth_vectors(
                 vector[s] = (full ^ of(s.left)) | of(s.right)
         return vector[s]
 
-    everything = functools.reduce(int.__and__, map(of, axioms), full)
-    return everything, [of(s) & everything for s in pool], of
+    return functools.reduce(int.__and__, map(of, axioms), full), of
 
 
 def _least_axioms(
@@ -564,82 +529,9 @@ def _least_axioms(
     return next(size for size in range(most + 1) if entailing(size))
 
 
-def _keep_rules(
-    pool: list[Statement], everything: int, vectors: list[int]
-) -> dict[str, Callable[..., int]]:
-    """Per schema name, a function from the pool indices of every metavariable
-    but the last to the bitmask of pool indices the last may take: the
-    instances that can change a derivation."""
-    n = len(pool)
-    anything = (1 << n) - 1
-    index = {s: i for i, s in enumerate(pool)}
-    # parts[kind][i] has bit j when kind(pool[i], pool[j]) is in the pool
-    parts: dict[type, list[int]] = {And: [0] * n, Or: [0] * n, Implies: [0] * n}
-    conj_at: dict[tuple[int, int], int] = {}
-    compound = 0
-    for k, s in enumerate(pool):
-        if isinstance(s, (And, Or, Implies)):
-            i, j = index[s.left], index[s.right]
-            parts[type(s)][i] |= 1 << j
-            compound |= 1 << k
-            if isinstance(s, And):
-                conj_at[i, j] = k
-    conj, disj, impl = parts[And], parts[Or], parts[Implies]
-
-    @functools.cache
-    def implied_by(w: int) -> int:
-        """The pool statements true in every valuation of ``w``."""
-        return sum(1 << i for i, v in enumerate(vectors) if w & ~v == 0)
-
-    entailed = implied_by(everything)
-
-    def distribution(a: int, b: int) -> int:
-        both = impl[a] if impl[a] >> b & 1 else 0
-        can_enter = anything if compound >> a & 1 else (
-            impl[b] | 1 << a | (1 << conj_at[a, b] if (a, b) in conj_at else 0)
-        )
-        return both | implied_by(vectors[a] & vectors[b]) & can_enter
-
-    def and_elim(a: int) -> int:
-        return (entailed if entailed >> a & 1 else 0) | conj[a]
-
-    return {
-        "weakening": lambda a: anything,
-        "distribution": distribution,
-        "contraposition": lambda a: anything,
-        "and-elim-left": and_elim,
-        "and-elim-right": and_elim,
-        "and-intro": lambda a: anything if entailed >> a & 1 else conj[a],
-        "or-intro-left": lambda a: anything if entailed >> a & 1 else disj[a],
-        "or-intro-right": lambda a: entailed | disj[a],
-        "or-elim": lambda a, b: implied_by(vectors[a]) | impl[a] & impl[b],
-    }
-
-
-def _modus_ponens(fd: _Derivation, xd: _Derivation) -> _Derivation:
-    """The derivation of s from those of f = (x->s) and x."""
-    s = fd.statement.right
-    nodes = fd.nodes | xd.nodes | {s}
-    return _Derivation(s, "mp", (len(nodes), sum(rendered_length(n) for n in nodes)),
-                       premises=(fd, xd), nodes=nodes)
-
-
-def _chosen_subdag(root: _Derivation) -> dict[Statement, _Derivation]:
-    chosen: dict[Statement, _Derivation] = {}
-
-    def walk(d: _Derivation) -> None:
-        if d.statement in chosen:
-            return
-        chosen[d.statement] = d
-        for p in d.premises:
-            walk(p)
-
-    walk(root)
-    return chosen
-
-
 def _cheapest_order(
-    chosen: dict[Statement, _Derivation], root: Statement, delta_e: Fraction
+    nodes: frozenset[Statement], via: dict[Statement, Statement], root: Statement,
+    delta_e: Fraction,
 ) -> list[Statement]:
     """The step order with the least upkeep, premises before conclusions and
     the goal last; equal upkeep goes to the smaller tuple of renderings.
@@ -648,10 +540,10 @@ def _cheapest_order(
     else a step costs depends on the order, so this is precedence-constrained
     sequencing, solved exactly by a DP over the set of steps already placed
     (Lawler, Ann. Discrete Math. 2, 1978)."""
-    rest = [s for s in chosen if s != root]
+    rest = [s for s in nodes if s != root]
     texts = [render(s) for s in rest]
     bit = {s: 1 << i for i, s in enumerate(rest)}
-    needs = [sum({bit[p.statement] for p in chosen[s].premises}) for s in rest]
+    needs = [bit[via[s]] | bit[via[s].left] if s in via else 0 for s in rest]
     # with delta_e = 0 every order costs the same and the renderings decide
     weights = [len(t) if delta_e else 0 for t in texts]
     full = (1 << len(rest)) - 1
@@ -672,25 +564,23 @@ def _cheapest_order(
     return [by_text[t] for t in best(0)[1]] + [root]
 
 
-def _linearize(theory: Theory, root: _Derivation) -> Optional[Proof]:
-    chosen = _chosen_subdag(root)
-    order = _cheapest_order(chosen, root.statement, theory.cost_params.delta_e)
+def _linearize(
+    theory: Theory, goal: Statement, derivation: Derivation, entry_of: Callable
+) -> Optional[Proof]:
+    """The derivation's cheapest order as a proof, or None if it exceeds the
+    budget; ``entry_of`` justifies each node the derivation does not derive."""
+    nodes, via = derivation
+    order = _cheapest_order(nodes, via, goal, theory.cost_params.delta_e)
     per_step, total = _step_costs(theory, order)
     if not total.leq(theory.budget):
         return None
     index = {stmt: pos for pos, stmt in enumerate(order)}
-    steps = []
-    for stmt, cost in zip(order, per_step):
-        d = chosen[stmt]
-        if d.kind == "axiom":
-            just: StepJustification = TheoryAxiom(d.axiom_index)
-        elif d.kind == "schema":
-            metavars = SCHEMAS[d.schema_index].metavars
-            just = SchemaInstance(d.schema_index, tuple(zip(metavars, d.values)))
-        else:
-            just = ModusPonens(index[d.premises[0].statement], index[d.premises[1].statement])
-        steps.append(ProofStep(stmt, just, cost))
-    proof = Proof(tuple(steps), total)
+    steps = tuple(
+        ProofStep(s, ModusPonens(index[via[s]], index[via[s].left]) if s in via else entry_of(s),
+                  cost)
+        for s, cost in zip(order, per_step)
+    )
+    proof = Proof(steps, total)
     problems = check_proof(theory, proof)
     if problems:
         raise AssertionError("internal proof checker rejected a found proof: " + "; ".join(problems))
@@ -725,8 +615,20 @@ def _suffixes() -> list[tuple]:
     return out
 
 
+def _acyclic(via: dict[Statement, Statement]) -> bool:
+    """Whether every node the premise map derives rests on entries alone."""
+    left = dict(via)
+    while left:
+        ready = [t for t, f in left.items() if f not in left and f.left not in left]
+        if not ready:
+            return False
+        for t in ready:
+            del left[t]
+    return True
+
+
 class _Search:
-    """One cached search: the pool's truth vectors and, per goal asked for,
+    """One cached search: entailment over the pool and, per goal asked for,
     its candidate derivations found so far and an iterator of the rest."""
 
     def __init__(
@@ -736,17 +638,15 @@ class _Search:
         cap: Optional[int],
         steps: int,
         everything: int,
-        vectors: list[int],
         truth: Callable[[Statement], int],
     ):
         self.axioms, self.pool, self.cap, self.steps = axioms, pool, cap, steps
         self.everything, self.truth = everything, truth
-        self.index = {s: i for i, s in enumerate(pool)}
+        self.in_pool = frozenset(pool)
         # per goal asked for: its candidates so far and the rest, or None if out of reach
-        self.found: dict[Statement, Optional[tuple[list, Iterator[_Derivation]]]] = {}
-        self.entries: dict[Statement, Optional[_Derivation]] = {}
+        self.found: dict[Statement, Optional[tuple[list, Iterator[Derivation]]]] = {}
+        self.entries: dict[Statement, Optional[Union[TheoryAxiom, SchemaInstance]]] = {}
         self.premises: dict[Statement, list[Statement]] = {}
-        self.rules = _keep_rules(pool, everything, vectors)
         self.entailed_pool = [s for s in pool if self._entails(s)]
         # each right-spine suffix of an axiom, under its conclusion
         self.suffixes: dict[Statement, dict[Statement, None]] = {}
@@ -756,13 +656,17 @@ class _Search:
                 ax = ax.right
         self.spine = set(axioms) | set(self.suffixes)
 
-    def derivations(self, goal: Statement) -> Iterator[_Derivation]:
+    def start(self, goal: Statement, least: Optional[int]) -> None:
+        """Begin the goal's candidates, given the fewest axioms that entail it
+        (``_least_axioms``), or mark it out of reach if that is None."""
+        self.found[goal] = None if least is None else ([], iter(self._shaped(goal)) if (
+            self.steps <= _SHAPED_STEPS) else self._astar(goal, least))
+
+    def derivations(self, goal: Statement) -> Iterator[Derivation]:
         """The goal's candidate derivations in the order ``prove`` tries them,
         none if ``_least_axioms`` refuses it."""
         if goal not in self.found:
-            least = _least_axioms(self.axioms, goal, self.steps, self.truth)
-            self.found[goal] = None if least is None else ([], iter(self._shaped(goal)) if (
-                self.steps <= _SHAPED_STEPS) else self._astar(goal, least))
+            self.start(goal, _least_axioms(self.axioms, goal, self.steps, self.truth))
         if self.found[goal] is None:
             return
         found, more = self.found[goal]
@@ -775,11 +679,11 @@ class _Search:
             del self.found[goal]  # so a repeated request gives up again
             raise
 
-    def _astar(self, goal: Statement, least: int) -> Iterator[_Derivation]:
+    def _astar(self, goal: Statement, least: int) -> Iterator[Derivation]:
         """The goal's derivations within the step bound, one per node set, in
-        (key, ``_tie``) order.  A state is its node set, its open nodes, (t, f)
-        per node t derived from f = (x->t) and x, its instances and axioms,
-        whether a node is off the axioms' spines, and its total length."""
+        ``prove``'s order.  A state is its node set, its open nodes, (t, f) per
+        node t derived from f = (x->t) and x, its instances and axioms, whether
+        a node is off the axioms' spines, and its total length."""
         heap: list[tuple] = []
         tick = itertools.count()  # equal keys leave in the order they came
         yielded: set[frozenset[Statement]] = set()
@@ -787,10 +691,10 @@ class _Search:
         def push(nodes, open_, derived, instances, axioms, off, length, new) -> None:
             """Push the state with the nodes ``new`` added, unless it is pruned."""
             for n in new:
-                d = self._entry_of(n)
-                if d is None:
+                entry = self._entry_of(n)
+                if entry is None:
                     open_ += (n,)
-                elif d.kind == "axiom":
+                elif isinstance(entry, TheoryAxiom):
                     axioms += 1
                 else:
                     instances += 1
@@ -814,94 +718,72 @@ class _Search:
                     if len(nodes) + len(new) <= self.steps:
                         push(nodes, rest, (*derived, (t, f)), *counts, length, new)
             elif nodes not in yielded:
-                root = self._linked(goal, dict(derived))
-                if root is not None:
+                via = dict(derived)
+                if _acyclic(via):
                     yielded.add(nodes)
-                    yield root
+                    yield nodes, via
         if heap:
             raise SearchTooLarge(f"the search for {render(goal)} popped {_MAX_STATES} states, "
                                  f"its limit of {_MAX_STATES}")
 
-    def _linked(self, goal: Statement, derived: dict[Statement, Statement]) -> Optional[_Derivation]:
-        """The goal's derivation with each node t in ``derived`` from its f =
-        (x->t) and x and every other node an entry; None if it is cyclic."""
-        made: dict[Statement, Optional[_Derivation]] = {}
-
-        def link(t: Statement, depth: int) -> Optional[_Derivation]:
-            if t not in derived:
-                return self._entry_of(t)
-            if t not in made and depth < len(derived):
-                fd, xd = link(derived[t], depth + 1), link(derived[t].left, depth + 1)
-                made[t] = fd and xd and _modus_ponens(fd, xd)
-            return made.get(t)
-
-        return link(goal, 0)
-
-    def _shaped(self, s: Statement) -> list[_Derivation]:
+    def _shaped(self, s: Statement) -> list[Derivation]:
         """s's derivations of one, three or four steps by their shapes, one per
-        node set, in (key, ``_tie``) order: s's entry alone if it has one."""
+        node set, in ``prove``'s order: s's entry alone if it has one."""
         entry = self._entry_of(s)
         if entry is not None or self.steps < 3:
-            return [entry] if entry is not None and self.steps >= 1 else []
-        found: dict[frozenset[Statement], _Derivation] = {}
+            return [(frozenset({s}), {})] if entry is not None and self.steps >= 1 else []
+        found: dict[frozenset[Statement], dict[Statement, Statement]] = {}
         for f in self._premises(s):
-            fd, xd = self._entry_of(f), self._entry_of(f.left)
-            if self.steps >= 4 and fd is None and xd is not None:
-                via = self._entry_of(Implies(f.left, f))
-                fd = via and _modus_ponens(via, xd)
-            elif self.steps >= 4 and xd is None and fd is not None:
-                via = self._entry_of(Implies(f, f.left))
-                xd = via and _modus_ponens(via, fd)
-            if fd is not None and xd is not None:
-                cand = _modus_ponens(fd, xd)
-                found.setdefault(cand.nodes, cand)
-        return sorted(found.values(), key=lambda d: (d.key, _tie(d)))
+            x, via = f.left, {s: f}
+            f_in, x_in = self._entry_of(f) is not None, self._entry_of(x) is not None
+            if self.steps >= 4 and x_in and not f_in:
+                via[f] = Implies(x, f)
+                f_in = self._entry_of(via[f]) is not None
+            elif self.steps >= 4 and f_in and not x_in:
+                via[x] = Implies(f, x)
+                x_in = self._entry_of(via[x]) is not None
+            if f_in and x_in:
+                found.setdefault(frozenset({s, x, *via.values()}), via)
+        return sorted(found.items(), key=lambda d: (
+            len(d[0]), sum(n._len for n in d[0]), sorted(map(render, d[0]))))
 
-    def _entry_of(self, s: Statement) -> Optional[_Derivation]:
-        """s's entry: its first axiom, else its first kept instance within the
-        cap in ``SCHEMAS`` order; None if s is no entry."""
+    def _entry_of(self, s: Statement) -> Optional[Union[TheoryAxiom, SchemaInstance]]:
+        """s's justification as an entry: its first axiom, else its first
+        instance over the pool within the cap in ``SCHEMAS`` order; None if s
+        is no entry."""
         if s not in self.entries:
-            d = None
+            entry = None
             if s in self.axioms:
-                d = _Derivation(s, "axiom", (1, s._len), axiom_index=self.axioms.index(s),
-                                nodes=frozenset({s}))
+                entry = TheoryAxiom(self.axioms.index(s))
             elif self.cap is None or s._len <= self.cap:
                 for schema in SCHEMAS:
                     values = _matcher(schema.template)(s)
-                    if values is not None and self._kept(schema, values):
-                        d = _Derivation(s, "schema", (1, s._len), schema_index=schema.index,
-                                        values=tuple(values[v] for v in schema.metavars),
-                                        nodes=frozenset({s}))
+                    if values is not None and self.in_pool.issuperset(values.values()):
+                        entry = SchemaInstance(
+                            schema.index, tuple((v, values[v]) for v in schema.metavars))
                         break
-            self.entries[s] = d
+            self.entries[s] = entry
         return self.entries[s]
-
-    def _kept(self, schema: Schema, values: dict[str, Statement]) -> bool:
-        """Whether the instance over these values is kept and fits the cap."""
-        at = [self.index.get(values[v]) for v in schema.metavars]
-        if None in at or not self.rules[schema.name](*at[:-1]) >> at[-1] & 1:
-            return False
-        const, coeffs = _SCHEMA_SHAPES[schema.index]
-        return self.cap is None or const + sum(
-            c * values[v]._len for v, c in coeffs.items()) <= self.cap
 
     def _premises(self, s: Statement) -> list[Statement]:
         """Every implication (x->s) with x entailed and not s that can enter a
-        derivation: a suffix of an axiom, or of a kept instance that fits the
-        cap."""
+        derivation: a suffix of an axiom, or of an instance over the pool that
+        fits the cap."""
         if s in self.premises:
             return self.premises[s]
         found = dict.fromkeys(f for f in self.suffixes.get(s, ()) if self._entails(f.left))
         for schema, match, build, free, sure in _suffixes():
             values = match(s)
-            if values is None or not all(map(self.index.__contains__, values.values())):
+            if values is None or not self.in_pool.issuperset(values.values()):
                 continue
+            const, coeffs = _SCHEMA_SHAPES[schema.index]
             complete = len(values) + len(free) == len(schema.metavars)
             # x ranges over the entailed pool when x_p is a metavariable s_p leaves open
             choices = self.entailed_pool if sure else self.pool
             for combo in itertools.product(choices, repeat=len(free)):
                 values.update(zip(free, combo))
-                if complete and not self._kept(schema, values):
+                if complete and self.cap is not None and const + sum(
+                        c * values[v]._len for v, c in coeffs.items()) > self.cap:
                     continue
                 x = build(values)
                 if sure or self._entails(x):
@@ -939,13 +821,14 @@ def prove(theory: Theory, goal: Statement, max_steps: Optional[int] = None) -> O
     key = (axioms, tuple(pool), steps, search_cap)
     search = _searches.get(key)
     if search is None:
-        everything, vectors, truth = _truth_vectors(axioms, pool)
-        if _least_axioms(axioms, goal, steps, truth) is None:
+        everything, truth = _truth_vectors(axioms, pool)
+        least = _least_axioms(axioms, goal, steps, truth)
+        if least is None:
             return None
-        search = _Search(axioms, pool, search_cap, steps, everything, vectors, truth)
-        _searches[key] = search
-    for root in search.derivations(goal):
-        proof = _linearize(theory, root)
+        search = _searches[key] = _Search(axioms, pool, search_cap, steps, everything, truth)
+        search.start(goal, least)
+    for derivation in search.derivations(goal):
+        proof = _linearize(theory, goal, derivation, search._entry_of)
         if proof is not None:
             return proof
     return None

@@ -1,19 +1,29 @@
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from resbound import (
+    Alphabet,
     Atom,
     AxiomCandidate,
     CostParameters,
+    DetermineTruth,
+    Expression,
+    Procedure,
     Quadrant,
     TheoryGrid,
     classify_pair,
     extension_edges,
+    World,
+    build_theory,
     first_appearance_theorem,
+    is_theorem,
     vec,
 )
 from resbound.lattice import check_extension_monotonicity
-from resbound.statements import parse
+from resbound.statements import parse, render
 from resbound.theory import theorems_up_to
+from resbound.world import truth_output
 
 
 def test_classify_pair_examples():
@@ -233,3 +243,40 @@ def test_a_richer_grid_point_keeps_a_theorem_its_least_derivation_cannot_pay(tmp
         assert main(["--scenario", str(path), "--command", command, "--out", str(out)]) == 0
     report = json.loads((tmp_path / "check" / "check_report.json").read_text())
     assert report["lattice_monotonicity"] == {"edges_checked": 1, "violations": []}
+
+
+def _four(low, high):
+    return st.tuples(*[st.integers(low, high)] * 4)
+
+
+_AXIOMS = ("((A&(A&B))->D)", "(A&(A&B))", "(B->D)", "((B->D)->B)", "A", "(A->B)", "(D|C)")
+_GOALS = ("A", "B", "D", "(A&B)", "(B->D)", "(A->D)", "(D|A)", "((A->B)->D)")
+
+
+@settings(max_examples=80, deadline=None)
+@example([(1, 1, 100, 1), (1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1)], (45, 45, 45, 45),
+         (0, 0, 255, 0), list(_AXIOMS[:4]))
+@given(st.lists(_four(0, 20), min_size=4, max_size=4), _four(10, 60), _four(0, 150),
+       st.lists(st.sampled_from(_AXIOMS), unique=True))
+def test_theorems_grow_along_extension_edges(costs, low, rise, axioms):
+    # with delta_e 0 a richer budget admits every axiom, writes every formula
+    # and affords every proof a poorer one does, whatever the deciders cost;
+    # the example is the grid whose least derivation at the upper point did
+    # not fit while a longer one did
+    r, r_up = vec(*low), vec(*(a + b for a, b in zip(low, rise)))
+    assume(classify_pair(r, r_up) is Quadrant.EXTENSION)
+    alphabet = Alphabet.from_string("ABCD()!&|->_")
+    procedures = {
+        f"p{atom}": Procedure(f"p{atom}", frozenset(), Expression("", alphabet), vec(*cost),
+                              DetermineTruth(atom), truth_output(atom))
+        for atom, cost in zip("ABCD", costs)
+    }
+    world = World(1, alphabet, {}, procedures, {"A": True, "B": True, "C": False, "D": True},
+                  {pid: p.declared_purpose for pid, p in procedures.items()})
+    cost = CostParameters.uniform(4, delta=1, delta_e=0)
+    candidates = tuple(AxiomCandidate(parse(a)) for a in axioms)
+    lower, upper = (build_theory(p, candidates, world, cost) for p in (r, r_up))
+    cap = lower.length_cap()
+    for goal in map(parse, _GOALS):
+        if (cap is None or len(render(goal)) <= cap) and is_theorem(lower, goal):
+            assert is_theorem(upper, goal), (render(goal), r, r_up, axioms)

@@ -197,9 +197,9 @@ def test_reflect_on_standard_links_each_proof_once(tmp_path, monkeypatch):
     linked = []
     linearize = theory_mod._linearize
 
-    def counted(theory, root):
-        linked.append((theory, root.statement))
-        return linearize(theory, root)
+    def counted(theory, goal, derivation, entry_of):
+        linked.append((theory, goal))
+        return linearize(theory, goal, derivation, entry_of)
 
     monkeypatch.setattr(theory_mod, "_linearize", counted)
     code = main(

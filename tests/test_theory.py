@@ -656,22 +656,19 @@ def test_atom_vectors_are_the_valuations_that_make_them_true():
     # valuation v makes the i-th atom (in name order) true when bit i of v is set
     for n in range(13):
         atoms = [Atom(f"P{i:02d}") for i in range(n)]
-        everything, vectors, _ = _truth_vectors((), atoms)
+        everything, truth = _truth_vectors((), atoms)
+        vectors = [truth(a) for a in atoms]
         assert everything == (1 << (1 << n)) - 1
         assert vectors == [sum(1 << v for v in range(1 << n) if v >> i & 1) for i in range(n)]
 
 
 def _full_product_base(axioms, pool, cap):
-    """The axioms, then every schema instance over the pool that fits the cap,
-    in itertools.product order per schema, first occurrence first."""
-    from resbound.theory import _Derivation
-
-    out, seen = [], set()
+    """Each entry's justification: the axioms, then every schema instance over
+    the pool that fits the cap, in itertools.product order per schema, first
+    occurrence first."""
+    out = {}
     for idx, ax in enumerate(axioms):
-        if ax not in seen:
-            seen.add(ax)
-            out.append(_Derivation(ax, "axiom", (1, len(render(ax))), axiom_index=idx,
-                                   nodes=frozenset({ax})))
+        out.setdefault(ax, TheoryAxiom(idx))
     for schema in SCHEMAS:
         text = render(schema.template)
         for combo in itertools.product(pool, repeat=len(schema.metavars)):
@@ -681,12 +678,7 @@ def _full_product_base(axioms, pool, cap):
             if cap is not None and length > cap:
                 continue
             inst = substitute(schema.template, dict(zip(schema.metavars, combo)))
-            if inst in seen:
-                continue
-            seen.add(inst)
-            out.append(_Derivation(inst, "schema", (1, length),
-                                   schema_index=schema.index, values=combo,
-                                   nodes=frozenset({inst})))
+            out.setdefault(inst, SchemaInstance(schema.index, tuple(zip(schema.metavars, combo))))
     return out
 
 
@@ -710,8 +702,8 @@ def _least_derivations(full_base, steps):
             family.append(nodes)
             queue.append((t, nodes))
 
-    for d in full_base:
-        add(d.statement, frozenset({d.statement}))
+    for s in full_base:
+        add(s, frozenset({s}))
     while queue:
         s, nodes = queue.popleft()
         if nodes not in sets[s]:
@@ -730,22 +722,20 @@ def _least_derivations(full_base, steps):
     }
 
 
-def _least(d):
+def _least(derivation):
     """A derivation's key and sorted node renderings, or None."""
-    from resbound.theory import _tie
+    if derivation is None:
+        return None
+    nodes, _ = derivation
+    return (len(nodes), sum(len(render(n)) for n in nodes)), tuple(sorted(map(render, nodes)))
 
-    return d and (d.key, _tie(d))
 
-
-def _entry(root):
-    """A derivation's key and chosen sub-DAG, step by step."""
-    from resbound.theory import _chosen_subdag
-
-    return root.key, sorted(
-        (render(t), d.kind, d.schema_index, d.values, d.axiom_index,
-         tuple(p.statement for p in d.premises))
-        for t, d in _chosen_subdag(root).items()
-    )
+def _entry(derivation, entry_of):
+    """A derivation's key and sorted node renderings, and each node's
+    justification: the premise it is derived from, else its entry's."""
+    nodes, via = derivation
+    return _least(derivation), sorted(
+        (render(t), via[t] if t in via else entry_of(t)) for t in nodes)
 
 
 def _random_statement(rng, names, depth):
@@ -783,17 +773,16 @@ def test_kept_instances_saturate_like_the_full_product():
     from resbound.errors import SearchTooLarge
 
     # every schema's instance over atoms as the goal of the empty theory: an
-    # instance in the pool is kept whether or not it can fire
+    # instance in the pool is an entry whether or not it can fire
     atoms = {"?a": Atom("A"), "?b": Atom("B"), "?c": Atom("C")}
     pool_instances = [((), substitute(schema.template, atoms), None, 1) for schema in SCHEMAS]
-    kept = full = 0
     too_large = set()
     for axioms, goal, cap, steps in [*pool_instances, *_random_theories(random.Random(10), 40)]:
         pool, search_cap, search = _search(axioms, goal, cap, steps)
         reference = _full_product_base(axioms, pool, search_cap)
         least = _least_derivations(reference, steps)
-        # over the kept instances alone, each pool statement's first candidate
-        # is its least derivation over every instance
+        # each pool statement's first candidate is its least derivation over
+        # every instance
         for s in pool:
             case = ([render(a) for a in axioms], render(s), cap, steps)
             try:
@@ -801,9 +790,6 @@ def test_kept_instances_saturate_like_the_full_product():
             except SearchTooLarge:
                 too_large.add(tuple(case[0]))
                 assert least.get(s) is None, case
-        kept += sum(search._entry_of(d.statement) is not None for d in reference)
-        full += len(reference)
-    assert kept < 0.6 * full
     # inconsistent axioms, where entailment prunes nothing
     assert too_large == {("C", "(!C&A)", "(C&(A&B))", "!(B->A)")}
 
@@ -824,36 +810,27 @@ def _search(axioms, goal, cap, steps):
     return pool, search_cap, _Search(axioms, pool, search_cap, steps, *_truth_vectors(axioms, pool))
 
 
-def _least_by_shape(full_base, steps, goal):
+def _least_by_shape(base, steps, goal):
     """The least (key, sorted renderings) derivation of the goal in one, three
     or four steps over the full-product base, found by scanning every entry."""
-    from resbound.theory import _Derivation
-
-    base = {d.statement: d for d in full_base}
-
-    def mp(fd, xd):
-        nodes = fd.nodes | xd.nodes | {fd.statement.right}
-        return _Derivation(fd.statement.right, "mp",
-                           (len(nodes), sum(len(render(n)) for n in nodes)),
-                           premises=(fd, xd), nodes=nodes)
-
     if steps < 1:
         return None
     if goal in base:
-        return base[goal]
+        return frozenset({goal}), {}
     found = []
-    for s, d in base.items():
+    for s in base:
         # s as f = (x->goal), with x an entry or derived from (f->x) and f
         if isinstance(s, Implies) and s.right == goal and s.left != goal:
             if s.left in base and steps >= 3:
-                found.append(mp(d, base[s.left]))
+                found.append((frozenset({goal, s, s.left}), {goal: s}))
             if Implies(s, s.left) in base and steps >= 4:
-                found.append(mp(d, mp(base[Implies(s, s.left)], d)))
+                found.append((frozenset({goal, s, s.left, Implies(s, s.left)}),
+                              {goal: s, s.left: Implies(s, s.left)}))
         # s as x, with f = (x->goal) derived from (x->f) and x
         f = Implies(s, goal)
         if s != goal and Implies(s, f) in base and steps >= 4:
-            found.append(mp(mp(base[Implies(s, f)], d), d))
-    return min(found, key=lambda d: (d.key, sorted(render(n) for n in d.nodes)), default=None)
+            found.append((frozenset({goal, f, s, Implies(s, f)}), {goal: f, f: Implies(s, f)}))
+    return min(found, key=_least, default=None)
 
 
 def test_searched_entry_is_the_full_products():
@@ -890,7 +867,8 @@ def test_searched_entry_is_the_full_products():
             assert search.entries == {} and _least_derivations(full_base, steps).get(goal) is None
         elif steps <= 4:
             least = _least_by_shape(full_base, steps, goal)
-            assert (first and _entry(first)) == (least and _entry(least)), case
+            assert (first and _entry(first, search._entry_of)) == (
+                least and _entry(least, full_base.get)), case
         else:
             assert _least(first) == _least_derivations(full_base, steps).get(goal), case
         found[steps <= 4] += first is not None
@@ -995,22 +973,53 @@ def test_step_bound_selects_the_base(monkeypatch, std_world, std_cost, fresh_sea
         assert fresh_searches.searched == searched
 
 
+def test_shaped_and_astar_candidates_agree_up_to_four_steps():
+    import random
+
+    from resbound.theory import _least_axioms
+
+    # at step bounds 3 and 4 both searches apply: an entry goal's first
+    # candidate is its entry alone, and any other goal's candidates are the
+    # same list, node sets and premise maps alike; a refused goal has none.
+    # D takes four steps from ((B->D)->B) and (B->D), the one random draws miss
+    drawn = [(tuple(map(parse, ["((B->D)->B)", "(B->D)", "(B&A)"])), Atom("D"), None)]
+    drawn += [(axioms, goal, cap) for axioms, goal, cap, _ in _random_theories(random.Random(37), 200)]
+    drawn += [(axioms, goal, None) for axioms, goal, _ in _chain_theories(random.Random(41), 200)]
+    seen = {"entry": 0, "derived": 0, "proved": 0, "refused": 0}
+    for (axioms, goal, cap), steps in itertools.product(drawn, (3, 4)):
+        _, _, search = _search(axioms, goal, cap, steps)
+        case = ([render(a) for a in axioms], render(goal), cap, steps)
+        shaped = search._shaped(goal)
+        least = _least_axioms(axioms, goal, steps, search.truth)
+        if least is None:
+            seen["refused"] += 1
+            assert shaped == [], case
+            continue
+        astar = list(search._astar(goal, least))
+        if search._entry_of(goal) is not None:
+            seen["entry"] += 1
+            assert astar[:1] == shaped == [(frozenset({goal}), {})], case
+        else:
+            seen["derived"] += 1
+            seen["proved"] += bool(shaped)
+            assert astar == shaped, case
+    assert seen == {"entry": 164, "derived": 228, "proved": 100, "refused": 410}
+
+
 def test_chain_base_leaves_out_what_cannot_fire():
     import resbound.theory as theory_mod
 
     # the antecedent (K->(E->!M)) is false when every atom of the chain is
-    # true, the only valuation the axioms allow, so it never enters a
-    # derivation and neither does anything this instance could give
+    # true, the only valuation the axioms allow, so this instance is an entry
+    # that never fires: a premise (x->t) needs an entailed x
     useless = parse("((K->(E->!M))->((K->E)->(K->!M)))")
     theory = chain_theory(100000, "KEMV", 7)
     axioms = tuple(a.statement for a in theory.axioms.admitted)
     goals = sorted(theory_mod._closure(axioms, Atom("K")), key=render)
     pool, cap, search = _search(axioms, Atom("K"), None, 7)
     full = _full_product_base(axioms, pool, cap)
-    assert useless in {d.statement for d in full}
-    assert search._entry_of(useless) is None
-    assert sum(search._entry_of(d.statement) is not None for d in full) < len(full)
-    # the kept instances alone give each goal the least derivation over all
+    assert useless in full
+    # the search gives each goal the least derivation over every instance
     least = _least_derivations(full, 7)
     assert [_least(next(search.derivations(g), None)) for g in goals] == [
         least.get(g) for g in goals]
