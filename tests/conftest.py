@@ -153,3 +153,18 @@ def disjoint_world():
         ground_truth={"S": True, "T": True},
         true_purposes={"pS": DetermineTruth("S"), "pT": DetermineTruth("T")},
     )
+
+
+@pytest.fixture
+def forget_searches(monkeypatch):
+    """Empty the prover's memo, its searches and the requests it answered,
+    now and at each call of the function returned; the test's end restores
+    the memo it found."""
+    import resbound.theory as theory_mod
+
+    def forget():
+        monkeypatch.setattr(theory_mod, "_searches", {})
+        monkeypatch.setattr(theory_mod, "_requests", {})
+
+    forget()
+    return forget

@@ -190,7 +190,7 @@ def test_alphabet_must_cover_provability_atoms(flat_cost, tiny_world):
         reflect_extend(theory, Atom("X"), vec(200, 200), "r0")
 
 
-def test_reflect_on_standard_links_each_proof_once(tmp_path, monkeypatch):
+def test_reflect_on_standard_links_each_proof_once(tmp_path, monkeypatch, forget_searches):
     import resbound.theory as theory_mod
     from resbound.cli import main
 

@@ -28,7 +28,7 @@ from resbound import (
     vec,
 )
 from resbound.errors import MalformedCode, StatementTooLong
-from resbound.statements import parse, render
+from resbound.statements import parse, render, rendered_length
 from resbound.theory import ModusPonens, SCHEMAS, SchemaInstance, TheoryAxiom, substitute
 
 from proof_oracle import oracle_provable
@@ -426,6 +426,37 @@ def test_a_search_past_its_state_limit_fails_fast(std_world, std_cost):
         "statement": "((A->B)->(B->A))", "found": False, "reason": "search-too-large"}
 
 
+def test_an_ordering_past_its_state_limit_fails_fast():
+    import resbound.theory as theory_mod
+    from resbound.errors import SearchTooLarge
+
+    # twenty steps that need nothing before them make 2^20 sets of placed
+    # steps; the ordering gives up at the limit instead of visiting them all
+    nodes = frozenset(Atom(f"P{i:02d}") for i in range(21))
+    limit = theory_mod._MAX_ORDER_STATES
+    with pytest.raises(SearchTooLarge, match=f"reached {limit + 1} states, past its limit of {limit}"):
+        theory_mod._cheapest_order(nodes, {}, Atom("P00"), Fraction(1, 100))
+
+
+def test_a_proof_past_the_ordering_limit_is_reported(monkeypatch, std_world, std_cost,
+                                                     forget_searches):
+    import resbound.theory as theory_mod
+    from resbound.cli import _proof_payload
+    from resbound.errors import SearchTooLarge
+
+    # the proof of B places A and (A->B) in either order: four sets of placed
+    # steps, from none to both
+    theory = theory_with(std_world, std_cost, ["A", "(A->B)"])
+    monkeypatch.setattr(theory_mod, "_MAX_ORDER_STATES", 3)
+    for _ in range(2):  # nothing was priced, so a repeated request gives up again
+        with pytest.raises(SearchTooLarge, match="reached 4 states, past its limit of 3"):
+            prove(theory, Atom("B"))
+    assert _proof_payload(theory, Atom("B")) == {
+        "statement": "B", "found": False, "reason": "search-too-large"}
+    monkeypatch.setattr(theory_mod, "_MAX_ORDER_STATES", 4)
+    assert prove(theory, Atom("B")) is not None
+
+
 # --- exact step ordering ------------------------------------------------------------
 
 _CHAIN = "KEMVBCRD"
@@ -514,14 +545,13 @@ def test_chosen_order_is_the_cheapest_of_all_orders(std_world, delta_e, axioms, 
 # --- searches shared across theories -------------------------------------------------
 
 @pytest.fixture
-def fresh_searches(monkeypatch):
+def fresh_searches(monkeypatch, forget_searches):
     """An empty search cache, and what runs against it: the number of
     searches built and the goal of each A* search started."""
     import types
 
     import resbound.theory as theory_mod
 
-    monkeypatch.setattr(theory_mod, "_searches", {})
     runs = types.SimpleNamespace(built=0, searched=[])
     build, astar = theory_mod._Search.__init__, theory_mod._Search._astar
 
@@ -577,8 +607,7 @@ def _answers(theory, goals):
     return [(render(s), is_theorem(theory, s)) for s in goals]
 
 
-def test_standard_t0_after_t8_answers_as_alone(monkeypatch):
-    import resbound.theory as theory_mod
+def test_standard_t0_after_t8_answers_as_alone(forget_searches):
     from resbound.scenario import load
     from resbound.statements import enumerate_statements
 
@@ -586,13 +615,13 @@ def test_standard_t0_after_t8_answers_as_alone(monkeypatch):
         grid = load("fixtures/standard.scn").theory_grid()
         return grid.theory_at(grid.points[0]), grid.theory_at(grid.points[-1])
 
-    monkeypatch.setattr(theory_mod, "_searches", {})
+    forget_searches()
     t0, _ = grid_ends()
     assert t0.length_cap() == 3
     goals = list(enumerate_statements(t0.world.atoms(), 3))
     alone = _answers(t0, goals)
 
-    monkeypatch.setattr(theory_mod, "_searches", {})
+    forget_searches()
     t0, t8 = grid_ends()
     _answers(t8, goals)
     assert _answers(t0, goals) == alone
@@ -615,9 +644,7 @@ def test_lattice_on_standard_keeps_48_searches(tmp_path, fresh_searches):
     assert fresh_searches.searched == []
 
 
-def test_goals_with_one_pool_share_a_saturation(monkeypatch, fresh_searches):
-    import resbound.theory as theory_mod
-
+def test_goals_with_one_pool_share_a_saturation(forget_searches, fresh_searches):
     # E, M and V are subformulas of the axioms, so their pools are the axioms'
     # pool and they share its search; (K&M) adds itself and its negation to
     # the pool, and its least derivation takes eight steps; each goal runs its
@@ -631,7 +658,7 @@ def test_goals_with_one_pool_share_a_saturation(monkeypatch, fresh_searches):
     assert len(fresh_searches.searched) == 4
     alone = []
     for g in goals:
-        monkeypatch.setattr(theory_mod, "_searches", {})
+        forget_searches()
         alone.append(prove(chain_theory(100000, "KEMV", 7), g))
     assert fresh_searches.built == 6 and len(fresh_searches.searched) == 8
     assert shared == alone
@@ -646,6 +673,109 @@ def test_goals_between_others_of_their_pool_reuse_its_saturation(fresh_searches)
     assert [p is not None for p in proofs] == [True, False, True]
     assert fresh_searches.built == 2
     assert fresh_searches.searched == ["M", "(K&M)", "V"]
+
+
+def test_lattice_on_standard_prices_each_proof_once(tmp_path, monkeypatch, forget_searches):
+    import collections
+
+    import resbound.theory as theory_mod
+    from resbound.cli import main
+
+    calls = collections.Counter()
+
+    def counted(name):
+        inner = getattr(theory_mod, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(theory_mod, name, call)
+
+    for name in ("_linearize", "check_proof", "_truth_vectors"):
+        counted(name)
+    lattice = ["--scenario", "fixtures/standard.scn", "--command", "lattice", "--out"]
+    assert main([*lattice, str(tmp_path / "shared")]) == 0
+    # of 897 requests, 24 bring a (search, node set, cost model) not priced
+    # before, and each priced proof that fits passes the checker once; a
+    # request asked before builds no truth vectors
+    assert calls["_linearize"] == calls["check_proof"] == 24
+    assert calls["_truth_vectors"] <= 143
+
+    # the same outputs when each grid point starts from an empty memo
+    prove, asked = theory_mod.prove, []
+
+    def fresh_per_point(theory, goal, max_steps=None):
+        if not asked or asked[-1] is not theory:
+            forget_searches()
+            asked.append(theory)
+        return prove(theory, goal, max_steps)
+
+    monkeypatch.setattr(theory_mod, "prove", fresh_per_point)
+    assert main([*lattice, str(tmp_path / "fresh")]) == 0
+    assert calls["_linearize"] > 2 * 24  # the fresh run priced its proofs again
+
+    def outputs(folder):
+        return {p.relative_to(folder): p.read_bytes() for p in sorted(folder.rglob("*"))}
+
+    assert outputs(tmp_path / "shared") == outputs(tmp_path / "fresh")
+
+
+def _outcome(theory, goal):
+    """What ``prove`` gives: the proof, None or the error it raises."""
+    try:
+        return prove(theory, goal)
+    except ValueError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_cost_models_sharing_a_search_answer_as_alone(std_world, std_cost, forget_searches,
+                                                      reverse):
+    import dataclasses
+
+    import resbound.theory as theory_mod
+
+    # three theories admit (A&B) with N(r) = 40 and share one search for A;
+    # without upkeep the proof costs 32 energy, with it 32.2, and an alphabet
+    # without & cannot write it
+    free = dataclasses.replace(std_cost, delta_e=Fraction(0))
+    narrow = dataclasses.replace(std_world, alphabet=Alphabet.from_string("ABCD()!|->"))
+    budget = vec(40, 40, 40, 60)
+    theories = [theory_with(world, cost, ["(A&B)"], budget)
+                for world, cost in ((std_world, std_cost), (std_world, free), (narrow, std_cost))]
+    alone = []
+    for theory in theories:
+        forget_searches()
+        alone.append(_outcome(theory, Atom("A")))
+    assert [p.cost for p in alone[:2]] == [vec(32, 32, 32, Fraction(161, 5)), vec(32, 32, 32, 32)]
+    assert alone[2] == repr(ValueError("character '&' not in alphabet"))
+
+    forget_searches()
+    order = [2, 1, 0] if reverse else [0, 1, 2]
+    for _ in range(2):
+        assert [_outcome(theories[i], Atom("A")) for i in order] == [alone[i] for i in order]
+    assert len(theory_mod._searches) == 1
+
+
+def test_a_refused_goal_asked_again_builds_no_truth_vectors(monkeypatch, std_world, std_cost,
+                                                           fresh_searches):
+    import resbound.theory as theory_mod
+
+    built = []
+    truth_vectors = theory_mod._truth_vectors
+
+    def counted(*args):
+        built.append(args)
+        return truth_vectors(*args)
+
+    monkeypatch.setattr(theory_mod, "_truth_vectors", counted)
+    # two grid points that admit the same axioms; C is false in the world, so
+    # no set of them entails it and the first request refuses it
+    points = [theory_with(std_world, std_cost, ["A", "(A->B)"], budget=b)
+              for b in (AMPLE, vec(10**5, 10**5, 10**5, 10**5))]
+    assert [prove(t, Atom("C")) for t in points] == [None, None]
+    assert len(built) == 1 and fresh_searches.built == 0
 
 
 # --- schema instances a search can use ----------------------------------------------
@@ -805,7 +935,10 @@ def _search(axioms, goal, cap, steps):
     )
 
     closure = _closure(axioms, goal)
-    search_cap = _effective_cap(closure, cap)
+    # the effective cap reads no closure: its longest member is the negation
+    # of the longest of the goal and the axioms
+    assert max(map(rendered_length, closure)) == 1 + max(map(rendered_length, (goal, *axioms)))
+    search_cap = _effective_cap(axioms, goal, cap)
     pool = _instantiation_pool(closure, search_cap)
     return pool, search_cap, _Search(axioms, pool, search_cap, steps, *_truth_vectors(axioms, pool))
 
@@ -936,7 +1069,7 @@ def test_chain_conjunction_past_the_step_bound_builds_nothing(length, fresh_sear
 
 
 @pytest.mark.parametrize("steps", [3, 4, 7])
-def test_goals_of_a_pool_in_any_order_prove_as_alone(monkeypatch, std_world, std_cost, steps):
+def test_goals_of_a_pool_in_any_order_prove_as_alone(forget_searches, std_world, std_cost, steps):
     import random
 
     import resbound.theory as theory_mod
@@ -949,24 +1082,22 @@ def test_goals_of_a_pool_in_any_order_prove_as_alone(monkeypatch, std_world, std
     theory = theory_with(std_world, std_cost, axioms, steps=steps)
     alone = []
     for g in goals:
-        monkeypatch.setattr(theory_mod, "_searches", {})
+        forget_searches()
         alone.append(prove(theory, g))
     assert sum(p is not None for p in alone) == {3: 7, 4: 9, 7: 10}[steps]
     for seed in range(3):
-        monkeypatch.setattr(theory_mod, "_searches", {})
+        forget_searches()
         order = random.Random(seed).sample(range(len(goals)), len(goals))
         shared = {i: prove(theory, goals[i]) for i in order}
         assert [shared[i] for i in range(len(goals))] == alone
 
 
-def test_step_bound_selects_the_base(monkeypatch, std_world, std_cost, fresh_searches):
-    import resbound.theory as theory_mod
-
+def test_step_bound_selects_the_base(forget_searches, std_world, std_cost, fresh_searches):
     # B has a three-step proof by its shape, D a five-step one only the A*
     # search finds, and up to four steps the bound refuses D; above four
     # steps each goal runs an A* search
     for steps, searched in [(3, []), (4, []), (5, ["B", "D"]), (8, ["B", "D"] * 2)]:
-        monkeypatch.setattr(theory_mod, "_searches", {})
+        forget_searches()
         theory = theory_with(std_world, std_cost, ["A", "(A->B)", "(B->D)"], steps=steps)
         assert prove(theory, Atom("B")) is not None
         assert (prove(theory, Atom("D")) is not None) == (steps >= 5)
